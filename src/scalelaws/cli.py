@@ -6,9 +6,10 @@ manifest (command, flags, input digests, seed, version, timestamp)
 embedded in JSON outputs or written beside non-JSON outputs. With a
 fixed seed and --no-timestamp, outputs are byte-identical across runs.
 
-Exit codes: 0 success, 2 usage or validation error, 3 numerical
-failure. Errors print a single machine-parsable line to stderr:
-"error[validation]: ..." or "error[numeric]: ...".
+Exit codes: 0 success, 2 usage or validation error (including bad
+seeds and unreadable or unwritable files), 3 numerical failure. Errors
+print a single machine-parsable line to stderr: "error[validation]: ..."
+or "error[numeric]: ...".
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ EXIT_NUMERIC = 3
 
 SEED_ENV_VAR = "SCALELAWS_SEED"
 
-_VALIDATION_ERRORS = (DataValidationError, SplitError)
+_VALIDATION_ERRORS = (DataValidationError, SplitError, OSError)
 _NUMERIC_ERRORS = (LawDomainError, FitError, UndefinedVarianceError)
 
 
@@ -94,10 +95,17 @@ def _write_sidecar_manifest(out_path: str, manifest: dict) -> None:
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else 0
+    if value is None:
+        env = os.environ.get(SEED_ENV_VAR, "")
+        try:
+            value = int(env) if env else 0
+        except ValueError:
+            raise DataValidationError(
+                f"{SEED_ENV_VAR} must be an unsigned integer, got {env!r}"
+            ) from None
+    if value < 0:
+        raise DataValidationError(f"seed must be an unsigned integer, got {value}")
+    return value
 
 
 def _parse_law_list(spec: str) -> list:
@@ -541,9 +549,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if hasattr(args, "seed"):
-        args.seed = _resolve_seed(args.seed)
     try:
+        args.seed = _resolve_seed(args.seed)
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error[validation]: {exc}", file=sys.stderr)

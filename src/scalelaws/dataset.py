@@ -197,7 +197,8 @@ def load_observations(
 
     Raises:
         DataValidationError: missing file or column, non-numeric cell,
-            non-positive N/D/loss, or duplicate key. Row numbers are
+            non-positive N/D/loss, duplicate key, or a model_id with
+            more than one n_params. Row numbers are
             1-based data rows (header excluded) for CSV, array indices
             for JSON.
     """
@@ -216,12 +217,24 @@ def load_observations(
 
     observations = []
     problems = []
+    sizes: dict[str, dict[float, list[int]]] = {}
     for row_no, raw in rows:
         obs, errs = _parse_row(raw, row_no)
         if errs:
             problems.extend(errs)
         else:
             observations.append(obs)
+            sizes.setdefault(obs.model_id, {}).setdefault(obs.n_params, []).append(row_no)
+    if problems:
+        raise DataValidationError(f"{path}: " + "; ".join(problems))
+    # Token splits key on model_id, model and joint splits on n_params;
+    # they agree only if each model has one size.
+    problems = [
+        f"model_id {model_id!r} has more than one n_params: " + ", ".join(
+            f"{n!r} (rows {', '.join(map(str, row_nos))})" for n, row_nos in by_n.items()
+        )
+        for model_id, by_n in sizes.items() if len(by_n) > 1
+    ]
     if problems:
         raise DataValidationError(f"{path}: " + "; ".join(problems))
 

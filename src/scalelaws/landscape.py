@@ -140,15 +140,7 @@ def grid_eval(
     """
     if params.law_id != law.law_id:
         raise LawDomainError(f"parameter vector is for {params.law_id}, law is {law.law_id}")
-    if law.needs_x:
-        if x is None:
-            raise LawDomainError(f"law {law.law_id} requires x")
-        if not math.isfinite(x):
-            raise LawDomainError("x must be finite")
-        if law.law_id in ("qid", "shannon_extended") and x <= 0:
-            raise LawDomainError(f"law {law.law_id} requires x > 0")
-    elif x is not None:
-        raise LawDomainError(f"law {law.law_id} takes no x")
+    law.check_x(x)
 
     n_axis = spec.n_axis()
     d_axis = spec.d_axis()

@@ -33,6 +33,10 @@ shrinks the degradation. "amplifying" flips the X dependence
 numerator by X) for perturbations like learning rate where larger X
 means more damage.
 
+Each law is one row of the law table below: id, parameter names, X
+domain and evaluator function. LAW_IDS, SHANNON_FAMILY and every
+evaluation path read that table.
+
 Evaluation is vectorized over numpy arrays. Non-evaluable points raise
 :class:`~scalelaws.errors.LawDomainError`; infinities and NaNs never
 escape into results.
@@ -41,214 +45,50 @@ escape into results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .dataset import ObservationSet
 from .errors import LawDomainError
 
-LAW_IDS = (
-    "shannon_full",
-    "shannon_simplified",
-    "shannon_extended",
-    "openai",
-    "chinchilla",
-    "qid",
-    "precision",
-    "symmetric",
-    "asymmetric",
-    "shannon_sizeonly_ablation",
-)
-
-SHANNON_FAMILY = (
-    "shannon_full",
-    "shannon_simplified",
-    "shannon_extended",
-    "shannon_sizeonly_ablation",
-)
-
 MITIGATING = "mitigating"
 AMPLIFYING = "amplifying"
 NO_X = "none"
 
-_PARAM_NAMES: dict[str, tuple[str, ...]] = {
-    "shannon_full": ("a", "b", "c", "d", "e", "alpha", "beta", "gamma", "delta"),
-    "shannon_simplified": ("a", "c", "alpha", "beta", "gamma", "delta"),
-    "shannon_extended": ("a", "b", "c", "d", "e", "alpha", "beta", "gamma", "delta"),
-    "openai": ("a", "b", "alpha", "beta"),
-    "chinchilla": ("a", "b", "c", "alpha", "beta"),
-    "qid": ("a", "b", "c", "d", "alpha", "beta", "alpha_prime", "beta_prime", "gamma"),
-    "precision": ("a", "b", "c", "d", "alpha", "beta", "alpha_prime", "beta_prime", "gamma"),
-    "symmetric": ("a", "b", "c", "alpha", "beta"),
-    "asymmetric": ("a", "b", "c", "alpha", "beta", "alpha_prime", "beta_prime"),
-    "shannon_sizeonly_ablation": ("a", "b", "c", "d", "e", "alpha", "beta", "gamma", "delta"),
-}
-
-_NEEDS_X = frozenset({"qid", "precision", "shannon_extended"})
-
-
-@dataclass(frozen=True)
-class LawSpec:
-    """A registered law form.
-
-    Attributes:
-        law_id: One of :data:`LAW_IDS`.
-        param_names: Ordered names of the positive fitted constants.
-        needs_x: Whether evaluation requires a perturbation scalar X.
-        x_orientation: "mitigating", "amplifying", or "none" — whether a
-            larger X reduces or increases the degradation term.
-    """
-
-    law_id: str
-    param_names: tuple[str, ...]
-    needs_x: bool
-    x_orientation: str
-
-    def __post_init__(self) -> None:
-        if self.law_id not in LAW_IDS:
-            raise LawDomainError(f"unknown law id {self.law_id!r}")
-        if self.param_names != _PARAM_NAMES[self.law_id]:
-            raise LawDomainError(f"parameter names for {self.law_id} must be "
-                                 f"{_PARAM_NAMES[self.law_id]}")
-        if self.needs_x != (self.law_id in _NEEDS_X):
-            raise LawDomainError(f"needs_x for {self.law_id} must be "
-                                 f"{self.law_id in _NEEDS_X}")
-        if self.needs_x and self.x_orientation not in (MITIGATING, AMPLIFYING):
-            raise LawDomainError(
-                f"{self.law_id} requires x_orientation 'mitigating' or 'amplifying'"
-            )
-        if not self.needs_x and self.x_orientation != NO_X:
-            raise LawDomainError(f"{self.law_id} takes no X; x_orientation must be 'none'")
-
-    @property
-    def n_params(self) -> int:
-        return len(self.param_names)
-
-
-def _make_spec(law_id: str) -> LawSpec:
-    needs_x = law_id in _NEEDS_X
-    return LawSpec(
-        law_id=law_id,
-        param_names=_PARAM_NAMES[law_id],
-        needs_x=needs_x,
-        x_orientation=MITIGATING if needs_x else NO_X,
-    )
-
-
-_REGISTRY: tuple[LawSpec, ...] = tuple(_make_spec(law_id) for law_id in LAW_IDS)
-_BY_ID: dict[str, LawSpec] = {spec.law_id: spec for spec in _REGISTRY}
-
-
-def law_registry() -> list[LawSpec]:
-    """All registered laws in stable order (capacity family first)."""
-    return list(_REGISTRY)
-
-
-def get_law(law_id: str) -> LawSpec:
-    try:
-        return _BY_ID[law_id]
-    except KeyError:
-        raise LawDomainError(
-            f"unknown law id {law_id!r}; known: {', '.join(LAW_IDS)}"
-        ) from None
-
-
-def with_orientation(law: LawSpec, orientation: str | None) -> LawSpec:
-    """Return `law` with its X orientation overridden (no-op on None)."""
-    if orientation is None or orientation == law.x_orientation:
-        return law
-    if not law.needs_x:
-        raise LawDomainError(f"{law.law_id} takes no X; cannot set orientation")
-    return replace(law, x_orientation=orientation)
-
-
-def apply_orientation(law: LawSpec, orientation: str | None) -> LawSpec:
-    """Fit-time orientation override: honored by X-aware laws, silently
-    irrelevant for the rest (so one flag can cover a mixed law list)."""
-    if law.needs_x:
-        return with_orientation(law, orientation)
-    return law
-
-
-@dataclass(frozen=True)
-class ParamVector:
-    """Positive parameter values aligned with a law's param_names."""
-
-    law_id: str
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        names = _PARAM_NAMES.get(self.law_id)
-        if names is None:
-            raise LawDomainError(f"unknown law id {self.law_id!r}")
-        if len(self.values) != len(names):
-            raise LawDomainError(
-                f"{self.law_id} takes {len(names)} parameters, got {len(self.values)}"
-            )
-        for name, value in zip(names, self.values):
-            if not (math.isfinite(value) and value > 0):
-                raise LawDomainError(
-                    f"parameter {name} of {self.law_id} must be a positive finite "
-                    f"real, got {value}"
-                )
-
-    @classmethod
-    def from_dict(cls, law_id: str, values: Mapping[str, float]) -> "ParamVector":
-        names = _PARAM_NAMES.get(law_id)
-        if names is None:
-            raise LawDomainError(f"unknown law id {law_id!r}")
-        missing = [n for n in names if n not in values]
-        if missing:
-            raise LawDomainError(f"missing parameter(s) for {law_id}: {', '.join(missing)}")
-        return cls(law_id, tuple(float(values[n]) for n in names))
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(_PARAM_NAMES[self.law_id], self.values))
+# X domains besides NO_X: any finite X, or X > 0 only.
+X_FINITE = "finite"
+X_POSITIVE = "positive"
 
 
 # ---------------------------------------------------------------------
-# Raw evaluation (vectorized, non-raising; caller inspects finiteness)
+# Law forms. Each takes the parameter components (see _split_theta), the
+# inputs and the X orientation. Capacity-family forms return
+# (bandwidth, snr), giving C = bandwidth * log2(1 + snr); baselines
+# return the loss.
 # ---------------------------------------------------------------------
 
-def _split_theta(theta):
-    """Parameter components for evaluation.
-
-    A 1-D theta yields Python floats (point evaluation). A 2-D theta of
-    shape (batch, p) yields (batch, 1) columns so one call evaluates a
-    whole batch of parameter vectors against the same inputs; results
-    then have shape (batch, n_points).
-    """
-    arr = np.asarray(theta, dtype=float)
-    if arr.ndim == 1:
-        return tuple(arr.tolist())
-    return tuple(arr[:, j:j + 1] for j in range(arr.shape[1]))
+def _shannon_full(parts, n, d, x, orientation):
+    a, b, c, d_coef, e, alpha, beta, gamma, delta = parts
+    return a * n ** alpha, b * d ** beta / (c * (d * n) ** gamma + d_coef * d ** delta + e)
 
 
-def _snr_raw(law: LawSpec, parts, n, d, x):
-    """Signal-to-noise ratio of a capacity-family law (may be non-finite)."""
-    if law.law_id == "shannon_simplified":
-        a, c, alpha, beta, gamma, delta = parts
-        numerator = d ** beta
-        denominator = c * (d * n) ** gamma + d ** delta
-    else:
-        a, b, c, d_coef, e, alpha, beta, gamma, delta = parts
-        numerator = b * d ** beta
-        if law.law_id == "shannon_sizeonly_ablation":
-            denominator = c * n ** gamma + d_coef * d ** delta + e
-        else:
-            denominator = c * (d * n) ** gamma + d_coef * d ** delta + e
-        if law.law_id == "shannon_extended":
-            numerator = numerator * x if law.x_orientation == MITIGATING else numerator / x
-    return numerator / denominator
+def _shannon_simplified(parts, n, d, x, orientation):
+    a, c, alpha, beta, gamma, delta = parts
+    return a * n ** alpha, d ** beta / (c * (d * n) ** gamma + d ** delta)
 
 
-def _capacity_raw(law: LawSpec, parts, n, d, x):
-    a = parts[0]
-    alpha = parts[2] if law.law_id == "shannon_simplified" else parts[5]
-    snr = _snr_raw(law, parts, n, d, x)
-    return a * n ** alpha * np.log2(1.0 + snr)
+def _shannon_extended(parts, n, d, x, orientation):
+    a, b, c, d_coef, e, alpha, beta, gamma, delta = parts
+    signal = b * d ** beta
+    signal = signal * x if orientation == MITIGATING else signal / x
+    return a * n ** alpha, signal / (c * (d * n) ** gamma + d_coef * d ** delta + e)
+
+
+def _shannon_sizeonly_ablation(parts, n, d, x, orientation):
+    a, b, c, d_coef, e, alpha, beta, gamma, delta = parts
+    return a * n ** alpha, b * d ** beta / (c * n ** gamma + d_coef * d ** delta + e)
 
 
 def _loss_openai(parts, n, d, x, orientation):
@@ -285,14 +125,172 @@ def _loss_asymmetric(parts, n, d, x, orientation):
     return a * n ** alpha / d ** beta + b * d ** beta_p / n ** alpha_p + c
 
 
-_BASELINE_EVAL = {
-    "openai": _loss_openai,
-    "chinchilla": _loss_chinchilla,
-    "qid": _loss_qid,
-    "precision": _loss_precision,
-    "symmetric": _loss_symmetric,
-    "asymmetric": _loss_asymmetric,
-}
+@dataclass(frozen=True)
+class LawSpec:
+    """A registered law form: one row of the law table.
+
+    Attributes:
+        law_id: One of :data:`LAW_IDS`.
+        param_names: Ordered names of the positive fitted constants.
+        x_domain: The perturbation scalar X the law takes: "none",
+            "finite" (any finite X) or "positive" (X > 0).
+        evaluator: The closed form, see the law forms above.
+        capacity_family: Whether `evaluator` returns (bandwidth, snr)
+            rather than the loss.
+        x_orientation: "mitigating", "amplifying", or "none" — whether a
+            larger X reduces or increases the degradation term.
+    """
+
+    law_id: str
+    param_names: tuple[str, ...]
+    x_domain: str
+    evaluator: Callable = field(repr=False)
+    capacity_family: bool = False
+    x_orientation: str = NO_X
+
+    def __post_init__(self) -> None:
+        if self.needs_x and self.x_orientation not in (MITIGATING, AMPLIFYING):
+            raise LawDomainError(
+                f"{self.law_id} requires x_orientation 'mitigating' or 'amplifying'"
+            )
+        if not self.needs_x and self.x_orientation != NO_X:
+            raise LawDomainError(f"{self.law_id} takes no X; x_orientation must be 'none'")
+
+    @property
+    def needs_x(self) -> bool:
+        """Whether evaluation requires a perturbation scalar X."""
+        return self.x_domain != NO_X
+
+    @property
+    def n_params(self) -> int:
+        return len(self.param_names)
+
+    def check_x(self, x):
+        """X as a float array (None if the law takes no X); raises
+        LawDomainError unless X is present exactly when the law takes one
+        and lies in the law's domain."""
+        if not self.needs_x:
+            if x is not None:
+                raise LawDomainError(f"law {self.law_id} takes no x")
+            return None
+        if x is None:
+            raise LawDomainError(f"law {self.law_id} requires x")
+        x_arr = np.asarray(x, dtype=float)
+        if np.any(~np.isfinite(x_arr)):
+            raise LawDomainError("x must be finite")
+        if self.x_domain == X_POSITIVE and np.any(x_arr <= 0):
+            raise LawDomainError(f"law {self.law_id} requires x > 0")
+        return x_arr
+
+
+_SHANNON_PARAMS = ("a", "b", "c", "d", "e", "alpha", "beta", "gamma", "delta")
+_X_PENALTY_PARAMS = ("a", "b", "c", "d", "alpha", "beta", "alpha_prime", "beta_prime", "gamma")
+
+#: The law table, the single definition of every law, in registry order.
+_REGISTRY: tuple[LawSpec, ...] = (
+    LawSpec("shannon_full", _SHANNON_PARAMS, NO_X, _shannon_full, capacity_family=True),
+    LawSpec("shannon_simplified", ("a", "c", "alpha", "beta", "gamma", "delta"), NO_X,
+            _shannon_simplified, capacity_family=True),
+    LawSpec("shannon_extended", _SHANNON_PARAMS, X_POSITIVE, _shannon_extended,
+            capacity_family=True, x_orientation=MITIGATING),
+    LawSpec("openai", ("a", "b", "alpha", "beta"), NO_X, _loss_openai),
+    LawSpec("chinchilla", ("a", "b", "c", "alpha", "beta"), NO_X, _loss_chinchilla),
+    LawSpec("qid", _X_PENALTY_PARAMS, X_POSITIVE, _loss_qid, x_orientation=MITIGATING),
+    LawSpec("precision", _X_PENALTY_PARAMS, X_FINITE, _loss_precision,
+            x_orientation=MITIGATING),
+    LawSpec("symmetric", ("a", "b", "c", "alpha", "beta"), NO_X, _loss_symmetric),
+    LawSpec("asymmetric", ("a", "b", "c", "alpha", "beta", "alpha_prime", "beta_prime"),
+            NO_X, _loss_asymmetric),
+    LawSpec("shannon_sizeonly_ablation", _SHANNON_PARAMS, NO_X, _shannon_sizeonly_ablation,
+            capacity_family=True),
+)
+_BY_ID: dict[str, LawSpec] = {spec.law_id: spec for spec in _REGISTRY}
+
+LAW_IDS = tuple(_BY_ID)
+SHANNON_FAMILY = tuple(spec.law_id for spec in _REGISTRY if spec.capacity_family)
+
+
+def law_registry() -> list[LawSpec]:
+    """All registered laws in stable order (capacity family first)."""
+    return list(_REGISTRY)
+
+
+def get_law(law_id: str) -> LawSpec:
+    try:
+        return _BY_ID[law_id]
+    except KeyError:
+        raise LawDomainError(
+            f"unknown law id {law_id!r}; known: {', '.join(LAW_IDS)}"
+        ) from None
+
+
+def with_orientation(law: LawSpec, orientation: str | None) -> LawSpec:
+    """Return `law` with its X orientation overridden (no-op on None)."""
+    if orientation is None or orientation == law.x_orientation:
+        return law
+    return replace(law, x_orientation=orientation)
+
+
+def apply_orientation(law: LawSpec, orientation: str | None) -> LawSpec:
+    """Fit-time orientation override: honored by X-aware laws, silently
+    irrelevant for the rest (so one flag can cover a mixed law list)."""
+    if law.needs_x:
+        return with_orientation(law, orientation)
+    return law
+
+
+@dataclass(frozen=True)
+class ParamVector:
+    """Positive parameter values aligned with a law's param_names."""
+
+    law_id: str
+    values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        names = get_law(self.law_id).param_names
+        if len(self.values) != len(names):
+            raise LawDomainError(
+                f"{self.law_id} takes {len(names)} parameters, got {len(self.values)}"
+            )
+        for name, value in zip(names, self.values):
+            if not (math.isfinite(value) and value > 0):
+                raise LawDomainError(
+                    f"parameter {name} of {self.law_id} must be a positive finite "
+                    f"real, got {value}"
+                )
+
+    @classmethod
+    def from_dict(cls, law_id: str, values: Mapping[str, float]) -> "ParamVector":
+        names = get_law(law_id).param_names
+        missing = [n for n in names if n not in values]
+        if missing:
+            raise LawDomainError(f"missing parameter(s) for {law_id}: {', '.join(missing)}")
+        return cls(law_id, tuple(float(values[n]) for n in names))
+
+    def as_dict(self) -> dict[str, float]:
+        return dict(zip(get_law(self.law_id).param_names, self.values))
+
+
+# ---------------------------------------------------------------------
+# Raw evaluation (vectorized, non-raising; caller inspects finiteness)
+# ---------------------------------------------------------------------
+
+def _split_theta(theta):
+    """Parameter components for evaluation.
+
+    A 1-D theta yields Python floats (point evaluation). A 2-D theta of
+    shape (batch, p) yields (batch, 1) columns so one call evaluates a
+    whole batch of parameter vectors against the same inputs; results
+    then have shape (batch, n_points).
+    """
+    arr = np.asarray(theta, dtype=float)
+    if arr.ndim == 1:
+        return tuple(arr.tolist())
+    return tuple(arr[:, j:j + 1] for j in range(arr.shape[1]))
+
+
+def _capacity(bandwidth, snr):
+    return bandwidth * np.log2(1.0 + snr)
 
 
 def evaluate_raw(law: LawSpec, theta: Sequence[float], n, d, x=None) -> np.ndarray:
@@ -304,12 +302,11 @@ def evaluate_raw(law: LawSpec, theta: Sequence[float], n, d, x=None) -> np.ndarr
     """
     if law.needs_x and x is None:
         raise LawDomainError(f"law {law.law_id} requires x")
-    parts = _split_theta(theta)
     with np.errstate(all="ignore"):
-        if law.law_id in SHANNON_FAMILY:
-            return np.asarray(1.0 / _capacity_raw(law, parts, n, d, x), dtype=float)
-        return np.asarray(_BASELINE_EVAL[law.law_id](parts, n, d, x, law.x_orientation),
-                          dtype=float)
+        value = law.evaluator(_split_theta(theta), n, d, x, law.x_orientation)
+        if law.capacity_family:
+            value = 1.0 / _capacity(*value)
+        return np.asarray(value, dtype=float)
 
 
 # ---------------------------------------------------------------------
@@ -324,19 +321,7 @@ def _coerce_inputs(law: LawSpec, n, d, x):
         raise LawDomainError("n must be positive and finite")
     if np.any(~np.isfinite(d_arr)) or np.any(d_arr <= 0):
         raise LawDomainError("d must be positive and finite")
-    if law.needs_x:
-        if x is None:
-            raise LawDomainError(f"law {law.law_id} requires x")
-        x_arr = np.asarray(x, dtype=float)
-        if np.any(~np.isfinite(x_arr)):
-            raise LawDomainError("x must be finite")
-        if law.law_id in ("qid", "shannon_extended") and np.any(x_arr <= 0):
-            raise LawDomainError(f"law {law.law_id} requires x > 0")
-    else:
-        if x is not None:
-            raise LawDomainError(f"law {law.law_id} takes no x")
-        x_arr = None
-    return n_arr, d_arr, x_arr, scalar
+    return n_arr, d_arr, law.check_x(x), scalar
 
 
 def _finalize(values: np.ndarray, scalar: bool):
@@ -347,10 +332,10 @@ def _capacity_checked(law: LawSpec, params: ParamVector, n, d, x):
     n_arr, d_arr, x_arr, scalar = _coerce_inputs(law, n, d, x)
     parts = _split_theta(params.values)
     with np.errstate(all="ignore"):
-        snr = np.asarray(_snr_raw(law, parts, n_arr, d_arr, x_arr), dtype=float)
+        bandwidth, snr = law.evaluator(parts, n_arr, d_arr, x_arr, law.x_orientation)
         if np.any(~np.isfinite(snr)):
             raise LawDomainError(f"{law.law_id}: SNR overflowed to a non-finite value")
-        cap = np.asarray(_capacity_raw(law, parts, n_arr, d_arr, x_arr), dtype=float)
+        cap = np.asarray(_capacity(bandwidth, snr), dtype=float)
     if np.any(cap == 0.0):
         raise LawDomainError(f"{law.law_id}: zero capacity (SNR underflow); loss undefined")
     if np.any(~np.isfinite(cap)):
@@ -378,7 +363,7 @@ def capacity(params: ParamVector, n, d, x=None, law: LawSpec | None = None):
     """
     if law is None:
         law = get_law(params.law_id)
-    if law.law_id not in SHANNON_FAMILY:
+    if not law.capacity_family:
         raise LawDomainError(f"capacity is defined for {SHANNON_FAMILY}, not {law.law_id}")
     return _capacity_checked(law, params, n, d, x)
 
@@ -391,24 +376,31 @@ def predict_loss(law: LawSpec, params: ParamVector, n, d, x=None):
 
     Raises:
         LawDomainError: propagated capacity errors, or a non-finite /
-            non-positive baseline value.
+            non-positive predicted loss.
     """
     if params.law_id != law.law_id:
         raise LawDomainError(
             f"parameter vector is for {params.law_id}, law is {law.law_id}"
         )
-    if law.law_id in SHANNON_FAMILY:
-        cap = _capacity_checked(law, params, n, d, x)
-        if np.ndim(cap) == 0:
-            return 1.0 / cap
-        return 1.0 / np.asarray(cap)
-    n_arr, d_arr, x_arr, scalar = _coerce_inputs(law, n, d, x)
-    values = evaluate_raw(law, params.values, n_arr, d_arr, x_arr)
+    if law.capacity_family:
+        values = 1.0 / _capacity_checked(law, params, n, d, x)
+    else:
+        n_arr, d_arr, x_arr, scalar = _coerce_inputs(law, n, d, x)
+        values = _finalize(evaluate_raw(law, params.values, n_arr, d_arr, x_arr), scalar)
     if np.any(~np.isfinite(values)):
         raise LawDomainError(f"{law.law_id}: prediction overflowed to a non-finite value")
     if np.any(values <= 0):
         raise LawDomainError(f"{law.law_id}: non-positive predicted loss")
-    return _finalize(values, scalar)
+    return values
+
+
+def _observed_x(law: LawSpec, data: ObservationSet) -> np.ndarray | None:
+    if not law.needs_x:
+        return None
+    x = data.x_values()
+    if np.any(np.isnan(x)):
+        raise LawDomainError(f"law {law.law_id} requires x_level on every observation")
+    return x
 
 
 def predict_dataset(law: LawSpec, params: ParamVector, data: ObservationSet) -> np.ndarray:
@@ -417,14 +409,8 @@ def predict_dataset(law: LawSpec, params: ParamVector, data: ObservationSet) -> 
     Observations are normalized by the set's recorded normalization
     before evaluation. Domain errors propagate.
     """
-    n = data.n_norm()
-    d = data.d_norm()
-    x = None
-    if law.needs_x:
-        x = data.x_values()
-        if np.any(np.isnan(x)):
-            raise LawDomainError(f"law {law.law_id} requires x_level on every observation")
-    return np.asarray(predict_loss(law, params, n, d, x), dtype=float)
+    x = _observed_x(law, data)
+    return np.asarray(predict_loss(law, params, data.n_norm(), data.d_norm(), x), dtype=float)
 
 
 # ---------------------------------------------------------------------
@@ -461,11 +447,7 @@ def jacobian_fd(
         raise LawDomainError(f"step_rel must be in (0, {MAX_JACOBIAN_STEP}], got {step_rel}")
     n = observations.n_norm()
     d = observations.d_norm()
-    x = None
-    if law.needs_x:
-        x = observations.x_values()
-        if np.any(np.isnan(x)):
-            raise LawDomainError(f"law {law.law_id} requires x_level on every observation")
+    x = _observed_x(law, observations)
     base = evaluate_raw(law, params.values, n, d, x)
     if np.any(~np.isfinite(base)):
         raise LawDomainError(f"{law.law_id}: non-evaluable observation at the given parameters")

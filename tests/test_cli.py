@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,3 +312,64 @@ class TestPerturbPipeline:
             outs.append((out.read_bytes(), report.read_bytes()))
         capsys.readouterr()
         assert outs[0] == outs[1]
+
+
+class TestErrorContract:
+    """Bad seeds and unusable files give one error[validation] line and exit 2."""
+
+    @pytest.fixture()
+    def wvec(self, tmp_path):
+        path = tmp_path / "w.wvec"
+        sl.write_wvec(path, sl.WeightVector(np.random.default_rng(10).normal(0, 1, 100)))
+        return path
+
+    def _assert_validation_error(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error[validation]: ")
+        assert err.count("\n") == 1
+
+    def test_negative_seed(self, tmp_path, wvec, capsys):
+        code = main(["perturb", "--in", str(wvec), "--snr-db", "20", "--seed", "-1",
+                     "--out", str(tmp_path / "out.wvec")])
+        self._assert_validation_error(code, capsys)
+
+    def test_non_integer_seed_env_var(self, tmp_path, wvec, capsys, monkeypatch):
+        monkeypatch.setenv("SCALELAWS_SEED", "abc")
+        code = main(["perturb", "--in", str(wvec), "--snr-db", "20",
+                     "--out", str(tmp_path / "out.wvec")])
+        self._assert_validation_error(code, capsys)
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        code = main(["perturb", "--in", str(tmp_path / "missing.wvec"), "--snr-db", "20",
+                     "--out", str(tmp_path / "out.wvec")])
+        self._assert_validation_error(code, capsys)
+
+    def test_output_in_missing_directory(self, tmp_path, wvec, capsys):
+        code = main(["perturb", "--in", str(wvec), "--snr-db", "20",
+                     "--out", str(tmp_path / "nodir" / "x.wvec")])
+        self._assert_validation_error(code, capsys)
+
+
+class TestThreadCountDeterminism:
+    def _run(self, args, threads):
+        src = str(Path(sl.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-m", "scalelaws.cli", *args],
+                       env=env, check=True, capture_output=True, timeout=300)
+
+    def test_fit_and_compare_identical_at_one_and_two_threads(self, tmp_path):
+        data = write_csv_from_set(tmp_path / "obs.csv", shannon_level_set(levels=[40.0, 20.0]))
+        fit_out = tmp_path / "fit.json"
+        cmp_out = tmp_path / "cmp.json"
+        outputs = {}
+        for threads in (1, 2):
+            self._run(["fit", "--data", data, "--law", "shannon_full", "--seed", "3",
+                       "--random-starts", "4", "--objective", "log_loss",
+                       "--out", str(fit_out), "--no-timestamp"], threads)
+            self._run(["compare", "--data", data, "--laws", "chinchilla,precision",
+                       "--group-by-level", "--x-orientation", "mitigating", "--seed", "3",
+                       "--starts", "4", "--out", str(cmp_out), "--no-timestamp"], threads)
+            outputs[threads] = (fit_out.read_bytes(), cmp_out.read_bytes())
+        assert outputs[1] == outputs[2]

@@ -232,3 +232,15 @@ class TestNormalizationTransparency:
         via_set = sl.predict_dataset(law, params, data)
         direct = sl.predict_loss(law, params, data.n_raw() / 1e9, data.d_raw() / 1e9)
         np.testing.assert_array_equal(via_set, direct)
+
+
+class TestModelIdInvariant:
+    def test_model_id_with_two_sizes_rejected(self, tmp_path):
+        path = write_csv(
+            tmp_path / "obs.csv",
+            ["m1,1e8,1e9,40,2.5,", "m1,1e8,2e9,40,2.4,", "m1,2e8,3e9,40,2.3,",
+             "m2,3e8,1e9,40,2.2,"],
+        )
+        with pytest.raises(sl.DataValidationError,
+                           match=r"model_id 'm1' .*\(rows 1, 2\).*\(rows 3\)"):
+            sl.load_observations(path)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalelaws as sl
 from scalelaws.laws import MITIGATING, AMPLIFYING
@@ -341,3 +343,107 @@ class TestJacobian:
         params = sl.ParamVector("chinchilla", (2.0, 3.0, 1.0, 0.6, 0.4))
         jac = sl.jacobian_fd(sl.get_law("chinchilla"), params, data)
         np.testing.assert_array_equal(jac[0], jac[1])
+
+
+GOLDEN_VALUES = {"a": 1.2, "b": 2.0, "c": 0.004, "d": 0.01, "e": 0.3, "alpha": 0.45,
+                 "beta": 0.55, "gamma": 0.6, "delta": 1.1, "alpha_prime": 0.4,
+                 "beta_prime": 0.35}
+GOLDEN_N = [0.16, 2.8, 12.0]
+GOLDEN_D = [4.2, 37.0, 307.0]
+GOLDEN_X = [2.0, 8.0, 16.0]
+GOLDEN_SCALAR = (1.0, 10.0, 4.0)
+
+# float.hex of predict_loss at GOLDEN_VALUES: the three array points,
+# then the scalar point.
+GOLDEN_LOSSES = {
+    ("shannon_full", None): ["0x1.0307304222876p-1", "0x1.0540fd2ad0438p-3",
+                             "0x1.6b1f878dc2c8fp-4", "0x1.a1014137772cep-3"],
+    ("shannon_simplified", None): ["0x1.c2accb4da4fc1p+1", "0x1.6a21bb18eba3fp+1",
+                                   "0x1.203362b2dc649p+2", "0x1.2a1b5d3e38647p+1"],
+    ("shannon_extended", MITIGATING): ["0x1.9de3d2e98017dp-2", "0x1.314480d885aadp-4",
+                                       "0x1.434b96e0d637cp-5", "0x1.1b21ab4fc7fecp-3"],
+    ("shannon_extended", AMPLIFYING): ["0x1.5444491f3bf4bp-1", "0x1.4f54dab817eecp-2",
+                                       "0x1.fbe06b6e60645p-2", "0x1.6ecf6a8dcb943p-2"],
+    ("openai", None): ["0x1.4c98f9f078eafp+1", "0x1.72003dbf885d9p-1",
+                       "0x1.73d02a74a1376p-2", "0x1.2f46f004c6950p+0"],
+    ("chinchilla", None): ["0x1.d32806a3ad0c6p+1", "0x1.0893fe1407bc0p+0",
+                           "0x1.ed8786dacd50ep-2", "0x1.c48673e7dc705p+0"],
+    ("qid", MITIGATING): ["0x1.d3d3aa586f079p+1", "0x1.0c8170d95f5b2p+0",
+                          "0x1.0a3787520511bp-1", "0x1.c70513290fee5p+0"],
+    ("qid", AMPLIFYING): ["0x1.d4b2599357b1bp+1", "0x1.3833ca3996351p+0",
+                          "0x1.8a5414878d210p+0", "0x1.d1b11ecf28a13p+0"],
+    ("precision", MITIGATING): ["0x1.d3503b6068a18p+1", "0x1.0893feb719a9bp+0",
+                                "0x1.ed8786dacda20p-2", "0x1.c48851e6947b4p+0"],
+    ("precision", AMPLIFYING): ["0x1.e1c5ede8fae38p+1", "0x1.f0e6a66f7a6dap+1",
+                                "0x1.960a3a26379a6p+8", "0x1.01d9a75dae46cp+1"],
+    ("symmetric", None): ["0x1.49391de3a7642p+3", "0x1.2de91feb78692p+3",
+                          "0x1.ed3992d96cde1p+3", "0x1.dc0ff42585efcp+2"],
+    ("asymmetric", None): ["0x1.c7cbed2a0858dp+2", "0x1.3d13177ab682ep+2",
+                           "0x1.69ea970fe0bcbp+2", "0x1.34751dd853342p+2"],
+    ("shannon_sizeonly_ablation", None): ["0x1.028d17d03c89dp-1", "0x1.ff4d236bf217ep-4",
+                                          "0x1.5e35c0d57bd9fp-4", "0x1.9d3ff87b8fe26p-3"],
+}
+
+
+def _oriented_laws():
+    return [
+        (law, orientation)
+        for law in sl.law_registry()
+        for orientation in ((MITIGATING, AMPLIFYING) if law.needs_x else (None,))
+    ]
+
+
+class TestGoldenPredictions:
+    def test_cases_cover_every_law_and_orientation(self):
+        assert sorted(GOLDEN_LOSSES, key=str) == sorted(
+            ((law.law_id, orientation) for law, orientation in _oriented_laws()), key=str
+        )
+
+    @pytest.mark.parametrize("law_id,orientation", list(GOLDEN_LOSSES))
+    def test_bit_identical(self, law_id, orientation):
+        law = sl.with_orientation(sl.get_law(law_id), orientation)
+        params = sl.ParamVector.from_dict(law_id, GOLDEN_VALUES)
+        x = np.array(GOLDEN_X) if law.needs_x else None
+        n, d, x_scalar = GOLDEN_SCALAR
+        values = sl.predict_loss(law, params, np.array(GOLDEN_N), np.array(GOLDEN_D), x)
+        scalar = sl.predict_loss(law, params, n, d, x_scalar if law.needs_x else None)
+        got = [float(v).hex() for v in values] + [scalar.hex()]
+        assert got == GOLDEN_LOSSES[(law_id, orientation)]
+
+
+class TestPredictLossProperty:
+    """Random positive parameters and inputs either evaluate to finite
+    positive losses or raise LawDomainError; inf and NaN never escape."""
+
+    @pytest.mark.parametrize(
+        "law,orientation", _oriented_laws(),
+        ids=[f"{law.law_id}-{o}" for law, o in _oriented_laws()],
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_finite_positive_or_domain_error(self, law, orientation, data):
+        positive = st.one_of(st.floats(min_value=1e-3, max_value=1e3),
+                             st.floats(min_value=1e-300, max_value=1e300))
+        oriented = sl.with_orientation(law, orientation)
+        params = sl.ParamVector(
+            law.law_id, tuple(data.draw(positive) for _ in range(law.n_params))
+        )
+        points = data.draw(st.lists(
+            st.tuples(positive, positive, positive), min_size=1, max_size=3
+        ))
+        n, d, x = (np.array(column) for column in zip(*points))
+        try:
+            values = sl.predict_loss(oriented, params, n, d, x if law.needs_x else None)
+        except sl.LawDomainError:
+            return
+        assert np.all(np.isfinite(values))
+        assert np.all(np.asarray(values) > 0)
+
+    def test_capacity_with_infinite_reciprocal_is_error(self):
+        """A subnormal capacity is positive, but its reciprocal is inf."""
+        params = sl.ParamVector(
+            "shannon_full", (1e-307, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        )
+        assert 0.0 < sl.capacity(params, 0.01, 1.0) < 1e-308
+        with pytest.raises(sl.LawDomainError, match="overflowed"):
+            sl.predict_loss(sl.get_law("shannon_full"), params, 0.01, 1.0)
