@@ -111,6 +111,8 @@ def _resolve_seed(value: int | None) -> int:
 def _parse_law_list(spec: str) -> list:
     if spec == "all":
         return law_registry()
+    if not spec.strip():
+        raise DataValidationError("empty law list")
     laws = []
     for law_id in spec.split(","):
         law_id = law_id.strip()
@@ -119,8 +121,6 @@ def _parse_law_list(spec: str) -> list:
                 f"unknown law {law_id!r}; known: all, {', '.join(LAW_IDS)}"
             )
         laws.append(get_law(law_id))
-    if not laws:
-        raise DataValidationError("empty law list")
     return laws
 
 

@@ -2,11 +2,12 @@
 
 Parameters are optimized in unconstrained log coordinates u = ln(theta),
 which makes positivity structural. Each start runs a damped
-Gauss-Newton (Levenberg-Marquardt) iteration with finite-difference
-Jacobians; accepted steps never increase the sum of squared residuals,
-damping grows on rejected steps and shrinks on accepted ones. The start
-with the lowest final SSE wins, ties resolving to the lowest start
-index, so results are reproducible from (data, config, seed) alone.
+Gauss-Newton (Levenberg-Marquardt) iteration with the law's analytic
+Jacobian in those coordinates (``LawSpec.gradient``); accepted steps
+never increase the sum of squared residuals, damping grows on rejected
+steps and shrinks on accepted ones. The start with the lowest final SSE
+wins, ties resolving to the lowest start index, so results are
+reproducible from (data, config, seed) alone.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ from .laws import (
     ParamVector,
     apply_orientation,
     evaluate_raw,
-    jacobian_fd_arrays,
+    evaluate_with_jacobian,
+    log_inputs,
     predict_dataset,
 )
 from .metrics import EvalPairs, r_squared
 
 OBJECTIVE_SPACES = ("loss", "log_loss")
 
-_FD_STEP = 1e-6
 _LAMBDA_INIT = 1e-3
 _LAMBDA_UP = 4.0
 _LAMBDA_DOWN = 0.25
@@ -164,7 +165,16 @@ def fit_result_from_dict(payload: dict) -> FitResult:
 
 
 class _Objective:
-    """Precomputed arrays and residual/Jacobian maps for one fit."""
+    """Precomputed arrays and residual/Jacobian maps for one fit.
+
+    The maps leave floating-point errors to the caller's np.errstate
+    (_lm_minimize ignores them and tests finiteness instead).
+
+    Raises:
+        DataValidationError: an X-aware law without x_level on every
+            observation.
+        LawDomainError: X outside the law's domain (e.g. x <= 0 for qid).
+    """
 
     def __init__(self, law: LawSpec, data: ObservationSet, objective_space: str):
         self.law = law
@@ -177,34 +187,31 @@ class _Objective:
                 raise DataValidationError(
                     f"law {law.law_id} requires x_level on every observation"
                 )
-            self.x = x
+            self.x = law.check_x(x)
+        self.logs = log_inputs(law, self.n, self.d, self.x)
         self.y = data.losses()
         self.log_space = objective_space == "log_loss"
         self.target = np.log(self.y) if self.log_space else self.y
 
-    def predictions(self, theta: np.ndarray) -> np.ndarray:
-        return evaluate_raw(self.law, theta, self.n, self.d, self.x)
-
     def residual(self, u: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            pred = self.predictions(np.exp(u))
-            if self.log_space:
-                return np.log(pred) - self.target
-            return pred - self.target
+        pred = evaluate_raw(self.law, np.exp(u), self.n, self.d, self.x)
+        if self.log_space:
+            return np.log(pred) - self.target
+        return pred - self.target
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            theta = np.exp(u)
-            jac = jacobian_fd_arrays(self.law, theta, self.n, self.d, self.x, _FD_STEP)
-            if self.log_space:
-                jac = jac / self.predictions(theta)[:, None]
-            return jac
+        pred, jac = evaluate_with_jacobian(
+            self.law, np.exp(u), self.n, self.d, self.x, self.logs
+        )
+        if self.log_space:
+            return jac / pred[:, None]
+        return jac
 
 
 def _sse_of(residual: np.ndarray) -> float:
-    """Sum of squared residuals; +inf on overflow rather than a warning."""
-    with np.errstate(over="ignore"):
-        sse = float(residual @ residual)
+    """Sum of squared residuals; +inf on overflow (under the caller's
+    np.errstate)."""
+    sse = float(residual @ residual)
     return sse if math.isfinite(sse) else math.inf
 
 
@@ -229,56 +236,58 @@ def _lm_minimize(
         FitError: residuals are non-finite at the start point.
     """
     u = np.clip(np.array(u0, dtype=float), -_LOG_BOUND, _LOG_BOUND)
-    r = residual_fn(u)
-    if not np.all(np.isfinite(r)):
-        raise FitError("non-finite residuals at the start point")
-    sse = _sse_of(r)
-    if not math.isfinite(sse):
-        raise FitError("SSE overflow at the start point")
-    lam = _LAMBDA_INIT
-    iterations = 0
-    converged = False
-    while iterations < max_iters:
-        jac = jacobian_fn(u)
-        if not np.all(np.isfinite(jac)):
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        r = residual_fn(u)
+        if not np.isfinite(r).all():
+            raise FitError("non-finite residuals at the start point")
+        sse = _sse_of(r)
+        if not math.isfinite(sse):
+            raise FitError("SSE overflow at the start point")
+        lam = _LAMBDA_INIT
+        iterations = 0
+        converged = False
+        diagonal = np.arange(u.size)
+        while iterations < max_iters:
+            jac = jacobian_fn(u)
+            if not np.isfinite(jac).all():
+                break
             grad = jac.T @ r
             jtj = jac.T @ jac
-        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(jtj))):
-            break
-        if float(np.max(np.abs(grad))) <= tol_grad:
-            converged = True
-            break
-        diag = np.diag(jtj).copy()
-        diag = np.maximum(diag, max(float(diag.max()), 1.0) * 1e-14)
-        accepted = False
-        while True:
-            damped = jtj + lam * np.diag(diag)
-            try:
-                step = np.linalg.solve(damped, -grad)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(damped, -grad, rcond=None)[0]
-            if np.all(np.isfinite(step)):
-                u_try = np.clip(u + step, -_LOG_BOUND, _LOG_BOUND)
-                r_try = residual_fn(u_try)
-                sse_try = _sse_of(r_try) if np.all(np.isfinite(r_try)) else math.inf
-            else:
-                sse_try = math.inf
-            if sse_try <= sse:
-                improvement = sse - sse_try
-                u, r, sse = u_try, r_try, sse_try
-                lam = max(lam * _LAMBDA_DOWN, _LAMBDA_MIN)
-                accepted = True
-                if improvement <= tol_rel_sse * max(sse_try, _TINY):
-                    converged = True
+            if not (np.isfinite(grad).all() and np.isfinite(jtj).all()):
                 break
-            lam *= _LAMBDA_UP
-            if lam > _LAMBDA_MAX:
+            if float(np.abs(grad).max()) <= tol_grad:
+                converged = True
                 break
-        iterations += 1
-        if converged or not accepted:
-            break
+            diag = jtj.diagonal()
+            diag = np.maximum(diag, max(float(diag.max()), 1.0) * 1e-14)
+            accepted = False
+            while True:
+                damped = jtj.copy()
+                damped[diagonal, diagonal] += lam * diag
+                try:
+                    step = np.linalg.solve(damped, -grad)
+                except np.linalg.LinAlgError:
+                    step = np.linalg.lstsq(damped, -grad, rcond=None)[0]
+                if np.isfinite(step).all():
+                    u_try = np.clip(u + step, -_LOG_BOUND, _LOG_BOUND)
+                    r_try = residual_fn(u_try)
+                    sse_try = _sse_of(r_try) if np.isfinite(r_try).all() else math.inf
+                else:
+                    sse_try = math.inf
+                if sse_try <= sse:
+                    improvement = sse - sse_try
+                    u, r, sse = u_try, r_try, sse_try
+                    lam = max(lam * _LAMBDA_DOWN, _LAMBDA_MIN)
+                    accepted = True
+                    if improvement <= tol_rel_sse * max(sse_try, _TINY):
+                        converged = True
+                    break
+                lam *= _LAMBDA_UP
+                if lam > _LAMBDA_MAX:
+                    break
+            iterations += 1
+            if converged or not accepted:
+                break
     return u, sse, iterations, converged
 
 

@@ -34,8 +34,11 @@ numerator by X) for perturbations like learning rate where larger X
 means more damage.
 
 Each law is one row of the law table below: id, parameter names, X
-domain and evaluator function. LAW_IDS, SHANNON_FAMILY and every
-evaluation path read that table.
+domain, evaluator function and its analytic gradient in the log
+coordinates u = ln(theta) the fitter works in. LAW_IDS, SHANNON_FAMILY,
+every evaluation path and the fitter's Jacobian read that table;
+:func:`jacobian_fd` stays as the finite-difference oracle the gradients
+are tested against.
 
 Evaluation is vectorized over numpy arrays. Non-evaluable points raise
 :class:`~scalelaws.errors.LawDomainError`; infinities and NaNs never
@@ -125,6 +128,156 @@ def _loss_asymmetric(parts, n, d, x, orientation):
     return a * n ** alpha / d ** beta + b * d ** beta_p / n ** alpha_p + c
 
 
+# ---------------------------------------------------------------------
+# Gradients in u = ln(theta). Each takes a law form's arguments plus
+# logs = (ln n, ln d, ln x) (see log_inputs) and a point theta, and
+# repeats its form's arithmetic, so the value it returns equals the
+# evaluator's bit for bit. Derivatives come as rows, one per parameter:
+# capacity-family gradients return (bandwidth, snr, d ln(bandwidth)/du,
+# d ln(snr)/du), combined by _capacity_gradient; baselines return
+# (loss, dL/du).
+# ---------------------------------------------------------------------
+
+def _rows(like, *rows):
+    """Stack per-parameter rows (arrays shaped like `like`, or scalars)."""
+    out = np.empty((len(rows),) + np.shape(like))
+    for i, row in enumerate(rows):
+        out[i] = row
+    return out
+
+
+def _shannon9_gradient(parts, n, d, ln_n, ln_d, signal, coupled, ln_coupled):
+    """Shared by the 9-parameter capacity forms: bandwidth a*n^alpha and
+    snr = signal / (c*coupled^gamma + d*D^delta + e), signal = b*D^beta
+    times any X factor."""
+    a, b, c, d_coef, e, alpha, beta, gamma, delta = parts
+    interaction = c * coupled ** gamma
+    data_noise = d_coef * d ** delta
+    noise = interaction + data_noise + e
+    interaction_share = -interaction / noise
+    data_noise_share = -data_noise / noise
+    grad_bandwidth = _rows(n, 1.0, 0.0, 0.0, 0.0, 0.0, alpha * ln_n, 0.0, 0.0, 0.0)
+    grad_snr = _rows(n, 0.0, 1.0, interaction_share, data_noise_share, -e / noise, 0.0,
+                     beta * ln_d, gamma * ln_coupled * interaction_share,
+                     delta * ln_d * data_noise_share)
+    return a * n ** alpha, signal / noise, grad_bandwidth, grad_snr
+
+
+def _shannon_full_gradient(parts, n, d, x, orientation, logs):
+    ln_n, ln_d, _ = logs
+    b, beta = parts[1], parts[6]
+    return _shannon9_gradient(parts, n, d, ln_n, ln_d, b * d ** beta, d * n, ln_d + ln_n)
+
+
+def _shannon_simplified_gradient(parts, n, d, x, orientation, logs):
+    a, c, alpha, beta, gamma, delta = parts
+    ln_n, ln_d, _ = logs
+    interaction = c * (d * n) ** gamma
+    data_noise = d ** delta
+    noise = interaction + data_noise
+    interaction_share = -interaction / noise
+    grad_bandwidth = _rows(n, 1.0, 0.0, alpha * ln_n, 0.0, 0.0, 0.0)
+    grad_snr = _rows(n, 0.0, interaction_share, 0.0, beta * ln_d,
+                     gamma * (ln_d + ln_n) * interaction_share,
+                     -delta * ln_d * data_noise / noise)
+    return a * n ** alpha, d ** beta / noise, grad_bandwidth, grad_snr
+
+
+def _shannon_extended_gradient(parts, n, d, x, orientation, logs):
+    ln_n, ln_d, _ = logs
+    b, beta = parts[1], parts[6]
+    signal = b * d ** beta
+    signal = signal * x if orientation == MITIGATING else signal / x
+    return _shannon9_gradient(parts, n, d, ln_n, ln_d, signal, d * n, ln_d + ln_n)
+
+
+def _shannon_sizeonly_ablation_gradient(parts, n, d, x, orientation, logs):
+    ln_n, ln_d, _ = logs
+    b, beta = parts[1], parts[6]
+    return _shannon9_gradient(parts, n, d, ln_n, ln_d, b * d ** beta, n, ln_n)
+
+
+def _loss_openai_gradient(parts, n, d, x, orientation, logs):
+    a, b, alpha, beta = parts
+    ln_n, _, _ = logs
+    size_term = (a / n) ** (alpha / beta)
+    data_term = b / d
+    total = size_term + data_term
+    loss = total ** beta
+    per_total = loss / total
+    d_a = alpha * size_term * per_total
+    d_alpha = (math.log(a) - ln_n) * d_a
+    return loss, _rows(n, d_a, beta * data_term * per_total, d_alpha,
+                       beta * np.log(total) * loss - d_alpha)
+
+
+def _loss_chinchilla_gradient(parts, n, d, x, orientation, logs):
+    a, b, c, alpha, beta = parts
+    ln_n, ln_d, _ = logs
+    size_term = a / n ** alpha
+    data_term = b / d ** beta
+    return size_term + data_term + c, _rows(
+        n, size_term, data_term, c, -alpha * ln_n * size_term, -beta * ln_d * data_term
+    )
+
+
+def _loss_qid_gradient(parts, n, d, x, orientation, logs):
+    a, b, c, d_coef, alpha, beta, alpha_p, beta_p, gamma = parts
+    ln_n, ln_d, ln_x = logs
+    size_term = a / n ** alpha
+    data_term = b / d ** beta
+    if orientation == MITIGATING:
+        x_power, d_x_power = x ** (-gamma), -gamma * ln_x
+    else:
+        x_power, d_x_power = x ** gamma, gamma * ln_x
+    penalty = d_coef * n ** alpha_p * d ** beta_p * x_power
+    return size_term + data_term + c + penalty, _rows(
+        n, size_term, data_term, c, penalty, -alpha * ln_n * size_term,
+        -beta * ln_d * data_term, alpha_p * ln_n * penalty, beta_p * ln_d * penalty,
+        d_x_power * penalty,
+    )
+
+
+def _loss_precision_gradient(parts, n, d, x, orientation, logs):
+    a, b, c, d_coef, alpha, beta, alpha_p, beta_p, gamma = parts
+    ln_n, ln_d, _ = logs
+    size_term = a / n ** alpha
+    data_term = b / d ** beta
+    if orientation == MITIGATING:
+        x_factor, d_x_factor = np.exp(-x / gamma), x / gamma
+    else:
+        x_factor, d_x_factor = np.exp(gamma * x), gamma * x
+    penalty = d_coef * (d ** beta_p / n ** alpha_p) * x_factor
+    return size_term + data_term + c + penalty, _rows(
+        n, size_term, data_term, c, penalty, -alpha * ln_n * size_term,
+        -beta * ln_d * data_term, -alpha_p * ln_n * penalty, beta_p * ln_d * penalty,
+        d_x_factor * penalty,
+    )
+
+
+def _loss_symmetric_gradient(parts, n, d, x, orientation, logs):
+    a, b, c, alpha, beta = parts
+    ln_n, ln_d, _ = logs
+    size_over_data = a * n ** alpha / d ** beta
+    data_over_size = b * d ** beta / n ** alpha
+    spread = size_over_data - data_over_size
+    return size_over_data + data_over_size + c, _rows(
+        n, size_over_data, data_over_size, c, alpha * ln_n * spread, -beta * ln_d * spread
+    )
+
+
+def _loss_asymmetric_gradient(parts, n, d, x, orientation, logs):
+    a, b, c, alpha, beta, alpha_p, beta_p = parts
+    ln_n, ln_d, _ = logs
+    size_over_data = a * n ** alpha / d ** beta
+    data_over_size = b * d ** beta_p / n ** alpha_p
+    return size_over_data + data_over_size + c, _rows(
+        n, size_over_data, data_over_size, c, alpha * ln_n * size_over_data,
+        -beta * ln_d * size_over_data, -alpha_p * ln_n * data_over_size,
+        beta_p * ln_d * data_over_size,
+    )
+
+
 @dataclass(frozen=True)
 class LawSpec:
     """A registered law form: one row of the law table.
@@ -135,6 +288,8 @@ class LawSpec:
         x_domain: The perturbation scalar X the law takes: "none",
             "finite" (any finite X) or "positive" (X > 0).
         evaluator: The closed form, see the law forms above.
+        gradient: The evaluator's derivative in u = ln(theta), see the
+            gradients above.
         capacity_family: Whether `evaluator` returns (bandwidth, snr)
             rather than the loss.
         x_orientation: "mitigating", "amplifying", or "none" — whether a
@@ -145,6 +300,7 @@ class LawSpec:
     param_names: tuple[str, ...]
     x_domain: str
     evaluator: Callable = field(repr=False)
+    gradient: Callable = field(repr=False)
     capacity_family: bool = False
     x_orientation: str = NO_X
 
@@ -188,21 +344,25 @@ _X_PENALTY_PARAMS = ("a", "b", "c", "d", "alpha", "beta", "alpha_prime", "beta_p
 
 #: The law table, the single definition of every law, in registry order.
 _REGISTRY: tuple[LawSpec, ...] = (
-    LawSpec("shannon_full", _SHANNON_PARAMS, NO_X, _shannon_full, capacity_family=True),
-    LawSpec("shannon_simplified", ("a", "c", "alpha", "beta", "gamma", "delta"), NO_X,
-            _shannon_simplified, capacity_family=True),
-    LawSpec("shannon_extended", _SHANNON_PARAMS, X_POSITIVE, _shannon_extended,
-            capacity_family=True, x_orientation=MITIGATING),
-    LawSpec("openai", ("a", "b", "alpha", "beta"), NO_X, _loss_openai),
-    LawSpec("chinchilla", ("a", "b", "c", "alpha", "beta"), NO_X, _loss_chinchilla),
-    LawSpec("qid", _X_PENALTY_PARAMS, X_POSITIVE, _loss_qid, x_orientation=MITIGATING),
-    LawSpec("precision", _X_PENALTY_PARAMS, X_FINITE, _loss_precision,
-            x_orientation=MITIGATING),
-    LawSpec("symmetric", ("a", "b", "c", "alpha", "beta"), NO_X, _loss_symmetric),
-    LawSpec("asymmetric", ("a", "b", "c", "alpha", "beta", "alpha_prime", "beta_prime"),
-            NO_X, _loss_asymmetric),
-    LawSpec("shannon_sizeonly_ablation", _SHANNON_PARAMS, NO_X, _shannon_sizeonly_ablation,
+    LawSpec("shannon_full", _SHANNON_PARAMS, NO_X, _shannon_full, _shannon_full_gradient,
             capacity_family=True),
+    LawSpec("shannon_simplified", ("a", "c", "alpha", "beta", "gamma", "delta"), NO_X,
+            _shannon_simplified, _shannon_simplified_gradient, capacity_family=True),
+    LawSpec("shannon_extended", _SHANNON_PARAMS, X_POSITIVE, _shannon_extended,
+            _shannon_extended_gradient, capacity_family=True, x_orientation=MITIGATING),
+    LawSpec("openai", ("a", "b", "alpha", "beta"), NO_X, _loss_openai, _loss_openai_gradient),
+    LawSpec("chinchilla", ("a", "b", "c", "alpha", "beta"), NO_X, _loss_chinchilla,
+            _loss_chinchilla_gradient),
+    LawSpec("qid", _X_PENALTY_PARAMS, X_POSITIVE, _loss_qid, _loss_qid_gradient,
+            x_orientation=MITIGATING),
+    LawSpec("precision", _X_PENALTY_PARAMS, X_FINITE, _loss_precision,
+            _loss_precision_gradient, x_orientation=MITIGATING),
+    LawSpec("symmetric", ("a", "b", "c", "alpha", "beta"), NO_X, _loss_symmetric,
+            _loss_symmetric_gradient),
+    LawSpec("asymmetric", ("a", "b", "c", "alpha", "beta", "alpha_prime", "beta_prime"),
+            NO_X, _loss_asymmetric, _loss_asymmetric_gradient),
+    LawSpec("shannon_sizeonly_ablation", _SHANNON_PARAMS, NO_X, _shannon_sizeonly_ablation,
+            _shannon_sizeonly_ablation_gradient, capacity_family=True),
 )
 _BY_ID: dict[str, LawSpec] = {spec.law_id: spec for spec in _REGISTRY}
 
@@ -293,6 +453,15 @@ def _capacity(bandwidth, snr):
     return bandwidth * np.log2(1.0 + snr)
 
 
+def _capacity_gradient(bandwidth, snr, grad_bandwidth, grad_snr):
+    """Loss L = 1/C and its u-gradient rows, from the log-gradients of
+    bandwidth and snr: dL/du = -L * (g_B + k * g_S) with
+    k = S / ((1 + S) ln(1 + S))."""
+    loss = 1.0 / _capacity(bandwidth, snr)
+    k = snr / ((1.0 + snr) * np.log1p(snr))
+    return loss, -loss * (grad_bandwidth + k * grad_snr)
+
+
 def evaluate_raw(law: LawSpec, theta: Sequence[float], n, d, x=None) -> np.ndarray:
     """Evaluate a law without domain checks.
 
@@ -307,6 +476,46 @@ def evaluate_raw(law: LawSpec, theta: Sequence[float], n, d, x=None) -> np.ndarr
         if law.capacity_family:
             value = 1.0 / _capacity(*value)
         return np.asarray(value, dtype=float)
+
+
+def log_inputs(law: LawSpec, n: np.ndarray, d: np.ndarray, x: np.ndarray | None) -> tuple:
+    """(ln n, ln d, ln x) for :func:`evaluate_with_jacobian`; ln x only
+    for laws whose X domain is X > 0, else None."""
+    ln_x = np.log(x) if law.x_domain == X_POSITIVE else None
+    return np.log(n), np.log(d), ln_x
+
+
+def evaluate_with_jacobian(
+    law: LawSpec,
+    theta: np.ndarray,
+    n: np.ndarray,
+    d: np.ndarray,
+    x: np.ndarray | None,
+    logs: tuple,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted losses and their analytic Jacobian in u = ln(theta).
+
+    Args:
+        law: Law to evaluate (its orientation is honored).
+        theta: One parameter vector, shape (p,).
+        n, d, x: Inputs as 1-D arrays of equal length (x None for laws
+            without X), with X in the law's domain.
+        logs: ``log_inputs(law, n, d, x)``, computed once per data set.
+
+    Returns:
+        (loss, jac): loss of shape [n_obs], equal to :func:`evaluate_raw`
+        bit for bit, and jac of shape [n_obs, n_params]. No domain
+        checks: entries may be non-finite.
+    """
+    parts = _split_theta(theta)
+    with np.errstate(all="ignore"):
+        if law.capacity_family:
+            loss, rows = _capacity_gradient(
+                *law.gradient(parts, n, d, x, law.x_orientation, logs)
+            )
+        else:
+            loss, rows = law.gradient(parts, n, d, x, law.x_orientation, logs)
+    return loss, rows.T
 
 
 # ---------------------------------------------------------------------
@@ -414,7 +623,7 @@ def predict_dataset(law: LawSpec, params: ParamVector, data: ObservationSet) -> 
 
 
 # ---------------------------------------------------------------------
-# Finite-difference Jacobian
+# Finite-difference Jacobian (the oracle for the analytic gradients)
 # ---------------------------------------------------------------------
 
 MAX_JACOBIAN_STEP = 1e-2

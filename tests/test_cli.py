@@ -77,6 +77,22 @@ class TestFitCommand:
         assert "error[validation]" in err
         assert "x_level" in err
 
+    def test_x_outside_law_domain_is_one_numeric_error_line(self, tmp_path, capsys):
+        """qid takes X > 0: x_level 0 is reported as such before any start
+        runs, as predict_loss and grid report it."""
+        observations = tuple(
+            sl.Observation(f"m{i}", float(n), float(d), 2.0, x_level=0.0)
+            for i, n in enumerate(MODEL_SIZES[:5]) for d in TOKEN_COUNTS[:3]
+        )
+        path = write_csv_from_set(tmp_path / "x0.csv", sl.ObservationSet(observations))
+        out = tmp_path / "f.json"
+        code = main(["fit", "--data", path, "--law", "qid",
+                     "--x-orientation", "mitigating", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "error[numeric]: law qid requires x > 0\n"
+        assert not out.exists()
+
     def test_x_law_without_orientation_exits_2(self, chinchilla_csv, tmp_path, capsys):
         code = main(["fit", "--data", chinchilla_csv, "--law", "qid",
                      "--out", str(tmp_path / "f.json")])
@@ -146,6 +162,11 @@ class TestCompareCommand:
         code = main(["compare", "--data", chinchilla_csv, "--laws", "nope"])
         assert code == 2
         assert "unknown law" in capsys.readouterr().err
+
+    def test_empty_law_list(self, chinchilla_csv, capsys):
+        code = main(["compare", "--data", chinchilla_csv, "--laws", ""])
+        assert code == 2
+        assert capsys.readouterr().err == "error[validation]: empty law list\n"
 
 
 class TestExtrapolateCommand:

@@ -1,12 +1,14 @@
 """Multistart least squares: solver core, contracts, and recovery."""
 
+import math
+
 import numpy as np
 import pytest
 
 import scalelaws as sl
 from scalelaws.fitter import _lm_minimize, enumerate_starts, FitConfig
 
-from synth import grid_set, random_params
+from synth import X_LEVELS, grid_set, random_params
 
 N_GRID = np.geomspace(0.16, 12.0, 6)
 D_GRID = np.geomspace(4.0, 310.0, 8)
@@ -264,6 +266,31 @@ class TestFit:
         result = sl.fit(law, data, FitConfig(objective_space="log_loss"))
         assert result.objective_space == "log_loss"
         assert result.r2_train >= 1 - 1e-9
+
+
+class TestLocalSolveParity:
+    """fit's winner is the lowest final SSE over enumerate_starts run one
+    by one through local_solve, ties to the lowest start index; replaying
+    a fit start by start (as benchmarks/replay.py does) relies on it."""
+
+    @pytest.mark.parametrize("law_id", ["shannon_full", "qid", "chinchilla"])
+    def test_fit_equals_best_local_solve(self, law_id):
+        law = sl.get_law(law_id)
+        true = random_params(law, np.random.default_rng(200 + sl.LAW_IDS.index(law_id)))
+        data = grid_set(law, true, N_GRID, D_GRID, x_levels=X_LEVELS)
+        config = FitConfig(starts=4, random_starts=8, seed=3,
+                           objective_space="log_loss", max_iters=300)
+        result = sl.fit(law, data, config)
+        best = None
+        for index, start in enumerate(enumerate_starts(config, law.n_params)):
+            try:
+                params, sse, iterations, converged = sl.local_solve(law, data, start, config)
+            except sl.FitError:
+                continue
+            if math.isfinite(sse) and (best is None or sse < best[1]):
+                best = (index, sse, params, iterations, converged)
+        assert best == (result.start_index_won, result.sse, result.params,
+                        result.iterations_used, result.converged)
 
 
 class TestRecoverySample:

@@ -4,13 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalelaws as sl
-from scalelaws.laws import MITIGATING, AMPLIFYING
+from scalelaws.laws import (
+    AMPLIFYING,
+    MITIGATING,
+    evaluate_raw,
+    evaluate_with_jacobian,
+    jacobian_fd_arrays,
+    log_inputs,
+)
 
-from synth import random_params
+from synth import EXPONENT_NAMES, X_LEVELS, random_params
 
 EXPECTED_PARAM_COUNTS = {
     "shannon_full": 9,
@@ -409,6 +416,50 @@ class TestGoldenPredictions:
         scalar = sl.predict_loss(law, params, n, d, x_scalar if law.needs_x else None)
         got = [float(v).hex() for v in values] + [scalar.hex()]
         assert got == GOLDEN_LOSSES[(law_id, orientation)]
+
+
+# The recovery grid of tests/test_fitter.py, crossed with X_LEVELS.
+_GRID_N, _GRID_D, _GRID_X = (
+    axis.ravel() for axis in np.meshgrid(
+        np.geomspace(0.16, 12.0, 6), np.geomspace(4.0, 310.0, 8), X_LEVELS, indexing="ij"
+    )
+)
+
+
+class TestAnalyticGradient:
+    """Every law's gradient row equals the finite-difference oracle.
+
+    Entries agree to 1e-6 relative to the entry or, for entries far
+    smaller than the loss, to the loss at that point: the oracle's own
+    rounding error scales with the loss. Capacity-family draws need
+    SNR >= 1e-3 everywhere, because below that the oracle differences
+    log2(1 + SNR) after 1 + SNR has already lost most of SNR's digits.
+    """
+
+    @pytest.mark.parametrize(
+        "law,orientation", _oriented_laws(),
+        ids=[f"{law.law_id}-{o}" for law, o in _oriented_laws()],
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_finite_differences(self, law, orientation, data):
+        exponent = st.floats(min_value=0.05, max_value=2.0)
+        coefficient = st.floats(min_value=-3.0, max_value=3.0).map(math.exp)
+        theta = np.array([
+            data.draw(exponent if name in EXPONENT_NAMES else coefficient)
+            for name in law.param_names
+        ])
+        oriented = sl.with_orientation(law, orientation)
+        n, d = _GRID_N, _GRID_D
+        x = _GRID_X if law.needs_x else None
+        if law.capacity_family:
+            _, snr = oriented.evaluator(tuple(theta), n, d, x, oriented.x_orientation)
+            assume(snr.min() >= 1e-3)
+        loss, jac = evaluate_with_jacobian(oriented, theta, n, d, x, log_inputs(oriented, n, d, x))
+        np.testing.assert_array_equal(loss, evaluate_raw(oriented, theta, n, d, x))
+        oracle = jacobian_fd_arrays(oriented, theta, n, d, x, 1e-6)
+        assert jac.shape == oracle.shape == (n.size, law.n_params)
+        assert np.all(np.abs(jac - oracle) <= 1e-6 * (np.abs(oracle) + loss[:, None]))
 
 
 class TestPredictLossProperty:
