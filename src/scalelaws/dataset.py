@@ -2,9 +2,9 @@
 
 An observation is one measured test loss keyed by (model id, parameter
 count N, token count D, optional perturbation level X). Sets of
-observations are immutable after construction and carry the
-normalization (divisors for N and D) that every downstream fit records
-and replays at prediction time.
+observations are immutable after construction, are stored as numpy
+columns, and carry the normalization (divisors for N and D) that every
+downstream fit records and replays at prediction time.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -107,66 +109,191 @@ def observation_problems(
     return problems
 
 
-@dataclass(frozen=True)
+def _codes(values: Sequence) -> tuple[np.ndarray, tuple]:
+    """Integer code per value, in order of first appearance, and the
+    distinct values the codes index."""
+    distinct = tuple(dict.fromkeys(values))
+    index = {v: i for i, v in enumerate(distinct)}
+    return np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values)), distinct
+
+
+def _value_codes(values: np.ndarray) -> np.ndarray:
+    """Dense integer codes of a float column; NaNs share one code."""
+    return np.unique(values, return_inverse=True)[1].ravel()
+
+
 class ObservationSet:
-    """An ordered, immutable collection of observations.
+    """An ordered, immutable collection of observations, stored as columns.
 
     Order is the load order; all grouping and splitting is deterministic
     given this order. `level_key` names the field that defines
     perturbation groups ("x_level" or "source_tag").
+
+    The columns are `n_params`, `d_tokens`, `loss` and `x_level` (NaN
+    where absent) as float64 arrays, plus `model_id` and `source_tag`
+    as integer codes into tuples of their distinct values. `observations`
+    is a row view of `Observation` objects, built on first use and
+    cached; a set built from observations keeps the given objects.
+    Construction checks that no two rows share a key. Subsets (`subset`,
+    splits, level groups) are masks of a checked set and are not checked
+    again.
     """
 
-    observations: tuple[Observation, ...]
-    normalization: Normalization = field(default_factory=Normalization)
-    level_key: str = "x_level"
+    __slots__ = ("_normalization", "_level_key", "_n", "_d", "_loss", "_x",
+                 "_model", "_model_ids", "_tag", "_tags", "_rows")
 
-    def __post_init__(self) -> None:
-        if self.level_key not in ("x_level", "source_tag"):
+    def __init__(
+        self,
+        observations: Sequence[Observation],
+        normalization: Normalization | None = None,
+        level_key: str = "x_level",
+    ) -> None:
+        rows = tuple(observations)
+        model, model_ids = _codes([o.model_id for o in rows])
+        tag, tags = _codes([o.source_tag for o in rows])
+        self._assign(
+            normalization, level_key,
+            np.array([o.n_params for o in rows], dtype=float),
+            np.array([o.d_tokens for o in rows], dtype=float),
+            np.array([o.loss for o in rows], dtype=float),
+            np.array([np.nan if o.x_level is None else o.x_level for o in rows], dtype=float),
+            model, model_ids, tag, tags, rows,
+        )
+        self._check_unique_keys()
+
+    def _assign(self, normalization, level_key, n, d, loss, x,
+                model, model_ids, tag, tags, rows) -> None:
+        if level_key not in ("x_level", "source_tag"):
             raise DataValidationError(
-                f"level_key must be 'x_level' or 'source_tag', got {self.level_key!r}"
+                f"level_key must be 'x_level' or 'source_tag', got {level_key!r}"
             )
-        seen: dict[tuple, int] = {}
-        for i, obs in enumerate(self.observations):
-            k = obs.key()
-            if k in seen:
-                raise DataValidationError(
-                    f"duplicate observation key {k} at positions {seen[k]} and {i}"
+        for column in (n, d, loss, x, model, tag):
+            column.flags.writeable = False
+        self._normalization = normalization if normalization is not None else Normalization()
+        self._level_key = level_key
+        self._n, self._d, self._loss, self._x = n, d, loss, x
+        self._model, self._model_ids = model, model_ids
+        self._tag, self._tags = tag, tags
+        self._rows = rows
+
+    @property
+    def normalization(self) -> Normalization:
+        return self._normalization
+
+    @property
+    def level_key(self) -> str:
+        return self._level_key
+
+    def _check_unique_keys(self) -> None:
+        if len(self) < 2:
+            return
+        key = np.zeros(len(self), dtype=np.intp)
+        for codes in (self._model, _value_codes(self._d), _value_codes(self._x), self._tag):
+            key = np.unique(key * (int(codes.max()) + 1) + codes, return_inverse=True)[1].ravel()
+        first = np.unique(key, return_index=True)[1][key]
+        repeats = np.flatnonzero(first != np.arange(len(key)))
+        if repeats.size:
+            i = int(repeats[0])
+            raise DataValidationError(
+                f"duplicate observation key {self.observations[i].key()} "
+                f"at positions {int(first[i])} and {i}"
+            )
+
+    @property
+    def observations(self) -> tuple[Observation, ...]:
+        """Row view, in set order; built on first use and cached."""
+        if self._rows is None:
+            model_ids, tags = self._model_ids, self._tags
+            self._rows = tuple(
+                Observation(model_ids[m], n, d, loss, None if math.isnan(x) else x, tags[t])
+                for m, n, d, loss, x, t in zip(
+                    self._model.tolist(), self._n.tolist(), self._d.tolist(),
+                    self._loss.tolist(), self._x.tolist(), self._tag.tolist(),
                 )
-            seen[k] = i
+            )
+        return self._rows
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self._n)
 
     def __iter__(self) -> Iterator[Observation]:
         return iter(self.observations)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ObservationSet):
+            return NotImplemented
+        return (
+            self.normalization == other.normalization
+            and self.level_key == other.level_key
+            and len(self) == len(other)
+            and all(np.array_equal(a, b, equal_nan=True) for a, b in zip(
+                (self._n, self._d, self._loss, self._x),
+                (other._n, other._d, other._loss, other._x),
+            ))
+            and self._texts() == other._texts()
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.observations, self.normalization, self.level_key))
+
+    def __repr__(self) -> str:
+        return (f"ObservationSet(<{len(self)} observations>, "
+                f"normalization={self.normalization!r}, level_key={self.level_key!r})")
+
+    def _texts(self) -> tuple[list, list]:
+        return ([self._model_ids[m] for m in self._model.tolist()],
+                [self._tags[t] for t in self._tag.tolist()])
+
     def with_observations(self, observations: Sequence[Observation]) -> "ObservationSet":
-        """Same normalization and level key, different rows."""
-        return replace(self, observations=tuple(observations))
+        """Same normalization and level key, different rows (checked anew)."""
+        return ObservationSet(observations, self.normalization, self.level_key)
+
+    def subset(self, mask: np.ndarray) -> "ObservationSet":
+        """The rows where the boolean `mask` is true, in this set's order.
+
+        Rows of a checked set have unique keys, so the subset is not
+        checked again.
+        """
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != (len(self),):
+            raise DataValidationError(
+                f"subset takes a boolean mask of length {len(self)}, "
+                f"got {mask.dtype} of shape {mask.shape}"
+            )
+        out = ObservationSet.__new__(ObservationSet)
+        out._assign(
+            self.normalization, self.level_key,
+            self._n[mask], self._d[mask], self._loss[mask], self._x[mask],
+            self._model[mask], self._model_ids, self._tag[mask], self._tags,
+            None if self._rows is None else tuple(compress(self._rows, mask)),
+        )
+        return out
 
     # -- array views (raw units) ------------------------------------
     def n_raw(self) -> np.ndarray:
-        return np.array([o.n_params for o in self.observations], dtype=float)
+        return self._n.copy()
 
     def d_raw(self) -> np.ndarray:
-        return np.array([o.d_tokens for o in self.observations], dtype=float)
+        return self._d.copy()
 
     def losses(self) -> np.ndarray:
-        return np.array([o.loss for o in self.observations], dtype=float)
+        return self._loss.copy()
 
     def x_values(self) -> np.ndarray:
         """X levels with NaN where missing."""
-        return np.array(
-            [o.x_level if o.x_level is not None else np.nan for o in self.observations],
-            dtype=float,
-        )
+        return self._x.copy()
+
+    def model_codes(self) -> tuple[np.ndarray, tuple[str, ...]]:
+        """Read-only integer code of each row's model_id, and the ids the
+        codes index (in order of first appearance in the loaded table)."""
+        return self._model, self._model_ids
 
     # -- array views (normalized units, as laws consume them) --------
     def n_norm(self) -> np.ndarray:
-        return self.n_raw() / self.normalization.n_scale
+        return self._n / self.normalization.n_scale
 
     def d_norm(self) -> np.ndarray:
-        return self.d_raw() / self.normalization.d_scale
+        return self._d / self.normalization.d_scale
 
     def level_of(self, obs: Observation):
         level = obs.x_level if self.level_key == "x_level" else obs.source_tag
@@ -175,6 +302,21 @@ class ObservationSet:
                 f"observation {obs.key()} has no {self.level_key}; cannot resolve its level"
             )
         return level
+
+    def _level_codes(self) -> tuple[np.ndarray, list]:
+        """Dense level code per row and the level each code stands for."""
+        if self.level_key == "x_level":
+            missing = np.isnan(self._x)
+            first, codes = np.unique(self._x, return_index=True, return_inverse=True)[1:]
+            # the first row's value names the level, so -0.0 and 0.0 meet under one
+            levels = self._x[first].tolist()
+        else:
+            missing = np.array([t is None for t in self._tags], dtype=bool)[self._tag]
+            present, codes = np.unique(self._tag, return_inverse=True)
+            levels = [self._tags[t] for t in present.tolist()]
+        if missing.any():
+            self.level_of(self.observations[int(np.argmax(missing))])  # raises
+        return codes.ravel(), levels
 
 
 def load_observations(
@@ -185,9 +327,15 @@ def load_observations(
 ) -> ObservationSet:
     """Load observations from a CSV or JSON file.
 
-    CSV: UTF-8, header row, columns model_id, n_params, d_tokens, loss
-    plus optional x_level and source_tag; scientific notation accepted.
-    JSON: array of objects with the same keys.
+    CSV: UTF-8 (a byte-order mark is accepted), header row, columns
+    model_id, n_params, d_tokens, loss plus optional x_level and
+    source_tag; scientific notation accepted. JSON: array of objects
+    with the same keys, UTF-8 with or without a byte-order mark.
+
+    The file is read straight into columns and every check runs on whole
+    columns: one pass over the cells, then vectorized tests. Messages are
+    built only for the rows that fail, so they list every failing row in
+    row order.
 
     Args:
         path: Input file.
@@ -211,56 +359,85 @@ def load_observations(
         raise DataValidationError(f"format must be 'csv' or 'json', got {format!r}")
 
     if format == "csv":
-        rows = _read_csv_rows(path)
+        cells, first_row_no = _read_csv_cells(path), 1
     else:
-        rows = _read_json_rows(path)
+        cells, first_row_no = _read_json_cells(path), 0
+    rows = len(cells["model_id"])
 
-    observations = []
-    problems = []
-    sizes: dict[str, dict[float, list[int]]] = {}
-    for row_no, raw in rows:
-        obs, errs = _parse_row(raw, row_no)
-        if errs:
-            problems.extend(errs)
-        else:
-            observations.append(obs)
-            sizes.setdefault(obs.model_id, {}).setdefault(obs.n_params, []).append(row_no)
-    if problems:
+    n, _ = _number_column(cells["n_params"])
+    d, _ = _number_column(cells["d_tokens"])
+    loss, _ = _number_column(cells["loss"])
+    x, x_present = _number_column(cells.get("x_level", [None] * rows))
+    model, model_ids = _text_codes(cells["model_id"])
+    tag, tags = _text_codes(cells.get("source_tag", [None] * rows))
+    bad = x_present & ~np.isfinite(x)
+    for column in (n, d, loss):
+        bad |= ~(np.isfinite(column) & (column > 0))
+    if None in model_ids:
+        bad |= model == model_ids.index(None)
+    if bad.any():
+        problems = [
+            msg
+            for i in np.flatnonzero(bad).tolist()
+            for msg in _row_problems({k: v[i] for k, v in cells.items()}, first_row_no + i)
+        ]
         raise DataValidationError(f"{path}: " + "; ".join(problems))
     # Token splits key on model_id, model and joint splits on n_params;
     # they agree only if each model has one size.
-    problems = [
-        f"model_id {model_id!r} has more than one n_params: " + ", ".join(
-            f"{n!r} (rows {', '.join(map(str, row_nos))})" for n, row_nos in by_n.items()
-        )
-        for model_id, by_n in sizes.items() if len(by_n) > 1
-    ]
-    if problems:
-        raise DataValidationError(f"{path}: " + "; ".join(problems))
+    if rows:
+        sizes = _value_codes(n)
+        width = int(sizes.max()) + 1
+        sizes_per_model = np.bincount(np.unique(model * width + sizes) // width)
+        problems = [
+            f"model_id {model_ids[m]!r} has more than one n_params: "
+            + _rows_by_size(n, np.flatnonzero(model == m), first_row_no)
+            for m in np.flatnonzero(sizes_per_model > 1).tolist()
+        ]
+        if problems:
+            raise DataValidationError(f"{path}: " + "; ".join(problems))
 
-    norm = normalization if normalization is not None else Normalization()
-    return ObservationSet(tuple(observations), normalization=norm, level_key=level_key)
+    out = ObservationSet.__new__(ObservationSet)
+    out._assign(normalization, level_key, n, d, loss, x, model, model_ids, tag, tags, None)
+    out._check_unique_keys()
+    return out
 
 
-def _read_csv_rows(path: Path) -> list[tuple[int, dict]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+def _rows_by_size(n: np.ndarray, rows: np.ndarray, first_row_no: int) -> str:
+    by_size: dict[float, list[int]] = {}
+    for i in rows.tolist():
+        by_size.setdefault(float(n[i]), []).append(first_row_no + i)
+    return ", ".join(
+        f"{size!r} (rows {', '.join(map(str, row_nos))})" for size, row_nos in by_size.items()
+    )
+
+
+def _read_csv_cells(path: Path) -> dict[str, list]:
+    """Raw cells of the known columns, one list per column."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
             raise DataValidationError(f"{path}: missing required column(s) {', '.join(missing)}")
-        return [(i, row) for i, row in enumerate(reader, start=1)]
+        rows = [row for row in reader if row]  # blank lines are not rows
+    width = len(header)
+    if min(map(len, rows), default=width) < width:  # absent trailing cells read as empty
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    where = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+    return {
+        name: list(map(itemgetter(where[name]), rows))
+        for name in REQUIRED_COLUMNS + OPTIONAL_COLUMNS if name in where
+    }
 
 
-def _read_json_rows(path: Path) -> list[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
+def _read_json_cells(path: Path) -> dict[str, list]:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataValidationError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, list):
         raise DataValidationError(f"{path}: expected a JSON array of objects")
-    rows = []
     for i, item in enumerate(payload):
         if not isinstance(item, dict):
             raise DataValidationError(f"{path}: element {i} is not an object")
@@ -269,22 +446,58 @@ def _read_json_rows(path: Path) -> list[tuple[int, dict]]:
             raise DataValidationError(
                 f"{path}: element {i} missing required key(s) {', '.join(missing)}"
             )
-        rows.append((i, item))
-    return rows
+    cells = {name: [item.get(name) for item in payload]
+             for name in REQUIRED_COLUMNS + OPTIONAL_COLUMNS}
+    for name in ("model_id", "source_tag"):  # any JSON value, made hashable text
+        cells[name] = [_text(v) for v in cells[name]]
+    return cells
 
 
-def _parse_row(raw: dict, row_no: int) -> tuple[Observation | None, list[str]]:
-    def cell(name):
-        value = raw.get(name)
-        if value is None:
-            return None
-        if isinstance(value, str):
-            value = value.strip()
-            return value if value != "" else None
-        return value
+def _cell(value):
+    """A cell with surrounding whitespace removed; None when empty."""
+    if isinstance(value, str):
+        value = value.strip()
+        return value if value != "" else None
+    return value
 
+
+def _text(value) -> str | None:
+    value = _cell(value)
+    return str(value) if value is not None else None
+
+
+def _text_codes(cells: list) -> tuple[np.ndarray, tuple]:
+    """Codes of a text column as stored (stripped, None when empty)."""
+    raw, raw_values = _codes(cells)
+    codes, values = _codes([_text(v) for v in raw_values])
+    return codes[raw], values
+
+
+def _number_column(cells: list) -> tuple[np.ndarray, np.ndarray]:
+    """Cells as float64 (NaN where empty or not numeric), and the mask of
+    non-empty cells."""
+    try:  # fast path: every cell parses; float() ignores surrounding whitespace
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        return values, np.ones(len(cells), dtype=bool)
+    except (TypeError, ValueError):
+        pass
+    values = np.full(len(cells), np.nan)
+    present = np.zeros(len(cells), dtype=bool)
+    for i, value in enumerate(cells):
+        value = _cell(value)
+        if value is not None:
+            present[i] = True
+            try:
+                values[i] = float(value)
+            except (TypeError, ValueError):
+                pass
+    return values, present
+
+
+def _row_problems(raw: dict, row_no: int) -> list[str]:
+    """The messages for one row, in the order the columns are checked."""
     errs = []
-    model_id = cell("model_id")
+    model_id = _cell(raw.get("model_id"))
     if model_id is None:
         errs.append(f"row {row_no}: model_id is empty")
         model_id = ""
@@ -292,7 +505,7 @@ def _parse_row(raw: dict, row_no: int) -> tuple[Observation | None, list[str]]:
         model_id = str(model_id)
 
     def number(name, required):
-        value = cell(name)
+        value = _cell(raw.get(name))
         if value is None:
             if required:
                 errs.append(f"row {row_no}: {name} is empty")
@@ -307,18 +520,12 @@ def _parse_row(raw: dict, row_no: int) -> tuple[Observation | None, list[str]]:
     d_tokens = number("d_tokens", required=True)
     loss = number("loss", required=True)
     x_level = number("x_level", required=False)
-    source_tag = cell("source_tag")
-    source_tag = str(source_tag) if source_tag is not None else None
-
     if errs:
-        return None, errs
-    invariant_errs = observation_problems(model_id, n_params, d_tokens, loss, x_level)
-    if invariant_errs:
-        return None, [f"row {row_no}: {msg}" for msg in invariant_errs]
-    return (
-        Observation(model_id, n_params, d_tokens, loss, x_level, source_tag),
-        [],
-    )
+        return errs
+    return [
+        f"row {row_no}: {msg}"
+        for msg in observation_problems(model_id, n_params, d_tokens, loss, x_level)
+    ]
 
 
 def group_by_level(oset: ObservationSet) -> list[tuple[object, ObservationSet]]:
@@ -330,13 +537,9 @@ def group_by_level(oset: ObservationSet) -> list[tuple[object, ObservationSet]]:
     Raises:
         DataValidationError: an observation has no resolvable level.
     """
-    buckets: dict = {}
-    for obs in oset:
-        level = oset.level_of(obs)
-        buckets.setdefault(level, []).append(obs)
-    return [
-        (level, oset.with_observations(buckets[level])) for level in sorted(buckets.keys())
-    ]
+    codes, levels = oset._level_codes()
+    order = sorted(range(len(levels)), key=levels.__getitem__)
+    return [(levels[g], oset.subset(codes == g)) for g in order]
 
 
 def distinct_axis_values(oset: ObservationSet, axis: str) -> list[float]:
@@ -350,9 +553,9 @@ def distinct_axis_values(oset: ObservationSet, axis: str) -> list[float]:
         raise DataValidationError("distinct_axis_values on an empty set")
     axis = axis.upper()
     if axis == "N":
-        values = {o.n_params for o in oset}
+        values = oset.n_raw()
     elif axis == "D":
-        values = {o.d_tokens for o in oset}
+        values = oset.d_raw()
     else:
         raise DataValidationError(f"axis must be 'N' or 'D', got {axis!r}")
-    return sorted(values)
+    return np.unique(values).tolist()

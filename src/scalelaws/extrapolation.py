@@ -22,6 +22,8 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .dataset import ObservationSet, distinct_axis_values, group_by_level
 from .errors import (
     DataValidationError,
@@ -76,20 +78,31 @@ class SplitSpec:
         return {"mode": self.mode, "j": self.j, "k": self.k}
 
 
-def _first_j_tokens_per_model(oset: ObservationSet, j: int, model_ids) -> dict[str, set]:
-    """Map model id -> set of its j smallest distinct token counts."""
-    distinct: dict[str, set] = {m: set() for m in model_ids}
-    for obs in oset:
-        if obs.model_id in distinct:
-            distinct[obs.model_id].add(obs.d_tokens)
-    kept = {}
-    for model_id, values in distinct.items():
-        if len(values) < j:
-            raise SplitError(
-                f"model {model_id!r} has only {len(values)} distinct token counts; "
-                f"j={j} is unsatisfiable"
-            )
-        kept[model_id] = set(sorted(values)[:j])
+def _first_j_tokens(oset: ObservationSet, j: int, rows: np.ndarray) -> np.ndarray:
+    """Mask of the `rows` whose token count is among the j smallest
+    distinct token counts of their model.
+
+    Raises:
+        SplitError: a model of `rows` has fewer than j distinct token
+            counts; the first such model in set order is named.
+    """
+    model, model_ids = oset.model_codes()
+    tokens = np.unique(oset.d_raw(), return_inverse=True)[1].ravel()
+    width = int(tokens.max()) + 1
+    # (model, token) pairs sort by model, then by token count
+    pairs, pair_of_row = np.unique(model[rows] * width + tokens[rows], return_inverse=True)
+    pair_model = pairs // width
+    rank = np.arange(len(pairs)) - np.searchsorted(pair_model, pair_model)
+    counts = np.bincount(pair_model, minlength=len(model_ids))
+    short = np.isin(model, np.flatnonzero(counts < j)) & rows
+    if short.any():
+        m = model[np.argmax(short)]
+        raise SplitError(
+            f"model {model_ids[m]!r} has only {counts[m]} distinct token counts; "
+            f"j={j} is unsatisfiable"
+        )
+    kept = np.zeros(len(oset), dtype=bool)
+    kept[rows] = rank[pair_of_row.ravel()] < j
     return kept
 
 
@@ -99,6 +112,9 @@ def make_split(
     joint_full_test: bool = False,
 ) -> tuple[ObservationSet, ObservationSet]:
     """Split a set per `spec`, preserving observation order on both sides.
+
+    Both sides are masks of `oset` (`ObservationSet.subset`), so they are
+    not checked again.
 
     Returns:
         (train, test). Token and model modes partition the input. Joint
@@ -114,47 +130,28 @@ def make_split(
         raise SplitError("cannot split an empty observation set")
 
     if spec.mode == "token":
-        model_ids = {o.model_id for o in oset}
-        kept = _first_j_tokens_per_model(oset, spec.j, model_ids)
-        in_train = [o.d_tokens in kept[o.model_id] for o in oset]
-    elif spec.mode == "model":
+        in_train = _first_j_tokens(oset, spec.j, np.ones(len(oset), dtype=bool))
+        in_test = ~in_train
+    else:
         sizes = distinct_axis_values(oset, "N")
         if len(sizes) < spec.k + 1:
             raise SplitError(
-                f"model mode with k={spec.k} needs at least {spec.k + 1} distinct "
+                f"{spec.mode} mode with k={spec.k} needs at least {spec.k + 1} distinct "
                 f"model sizes, found {len(sizes)}"
             )
-        small = set(sizes[: spec.k])
-        in_train = [o.n_params in small for o in oset]
-    else:  # joint
-        sizes = distinct_axis_values(oset, "N")
-        if len(sizes) < spec.k + 1:
-            raise SplitError(
-                f"joint mode with k={spec.k} needs at least {spec.k + 1} distinct "
-                f"model sizes, found {len(sizes)}"
-            )
-        small = set(sizes[: spec.k])
-        small_models = {o.model_id for o in oset if o.n_params in small}
-        kept = _first_j_tokens_per_model(oset, spec.j, small_models)
-        in_train = [
-            o.n_params in small and o.d_tokens in kept[o.model_id] for o in oset
-        ]
-        horizon = max(o.d_tokens for o, t in zip(oset, in_train) if t)
-        if joint_full_test:
-            in_test = [o.n_params not in small for o in oset]
-        else:
-            in_test = [o.n_params not in small and o.d_tokens > horizon for o in oset]
-        train = oset.with_observations([o for o, t in zip(oset, in_train) if t])
-        test = oset.with_observations([o for o, t in zip(oset, in_test) if t])
-        if len(test) == 0:
-            raise SplitError(f"joint split {spec.label()} produces an empty test set")
-        return train, test
+        small = oset.n_raw() <= sizes[spec.k - 1]
+        in_train, in_test = small, ~small
+        if spec.mode == "joint":
+            model, _ = oset.model_codes()
+            in_train = small & _first_j_tokens(oset, spec.j, np.isin(model, model[small]))
+            if not joint_full_test:
+                d = oset.d_raw()
+                in_test = in_test & (d > d[in_train].max())
 
-    train = oset.with_observations([o for o, t in zip(oset, in_train) if t])
-    test = oset.with_observations([o for o, t in zip(oset, in_train) if not t])
+    test = oset.subset(in_test)
     if len(test) == 0:
         raise SplitError(f"{spec.mode} split {spec.label()} produces an empty test set")
-    return train, test
+    return oset.subset(in_train), test
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,17 @@ from .errors import DataValidationError, UndefinedVarianceError
 STD_KIND = "population"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalPairs:
-    """Aligned (predicted, observed) arrays, optionally labeled."""
+    """Aligned (predicted, observed) float64 arrays, optionally labeled."""
 
-    predicted: tuple[float, ...]
-    observed: tuple[float, ...]
+    predicted: np.ndarray
+    observed: np.ndarray
     group_label: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("predicted", "observed"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float).ravel())
         if len(self.predicted) != len(self.observed):
             raise DataValidationError(
                 f"predicted and observed lengths differ: "
@@ -36,16 +38,12 @@ class EvalPairs:
         if len(self.predicted) < 1:
             raise DataValidationError("EvalPairs requires at least one pair")
         for name, values in (("predicted", self.predicted), ("observed", self.observed)):
-            if any(not math.isfinite(v) for v in values):
+            if not np.isfinite(values).all():
                 raise DataValidationError(f"{name} contains a non-finite value")
 
     @classmethod
     def of(cls, predicted, observed, group_label: str | None = None) -> "EvalPairs":
-        return cls(
-            tuple(float(v) for v in np.asarray(predicted).ravel()),
-            tuple(float(v) for v in np.asarray(observed).ravel()),
-            group_label,
-        )
+        return cls(predicted, observed, group_label)
 
     def __len__(self) -> int:
         return len(self.predicted)
@@ -63,8 +61,8 @@ def r_squared(pairs: EvalPairs) -> float:
     """
     if len(pairs) < 2:
         raise DataValidationError("r_squared requires at least two pairs")
-    obs = pairs.observed
-    pred = pairs.predicted
+    obs = pairs.observed.tolist()  # Python floats: the same squares as a scalar loop
+    pred = pairs.predicted.tolist()
     mean_obs = math.fsum(obs) / len(obs)
     ss_tot = math.fsum((o - mean_obs) ** 2 for o in obs)
     if ss_tot == 0.0:
@@ -88,12 +86,10 @@ def pooled_r_squared(groups: Sequence[EvalPairs]) -> float:
     """
     if len(groups) == 0:
         raise DataValidationError("pooled_r_squared requires at least one group")
-    predicted: list[float] = []
-    observed: list[float] = []
-    for g in groups:
-        predicted.extend(g.predicted)
-        observed.extend(g.observed)
-    return r_squared(EvalPairs(tuple(predicted), tuple(observed)))
+    return r_squared(EvalPairs(
+        np.concatenate([g.predicted for g in groups]),
+        np.concatenate([g.observed for g in groups]),
+    ))
 
 
 def summarize_levels(scores: Sequence[tuple[object, float]]) -> tuple[float, float]:

@@ -29,6 +29,15 @@ def write_csv_from_set(path, oset):
     return str(path)
 
 
+def run_cli(args, **env_overrides):
+    """Run the CLI in a fresh interpreter; returns the CompletedProcess."""
+    src = str(Path(sl.__file__).resolve().parents[1])
+    env = dict(os.environ, **env_overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "scalelaws.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
 @pytest.fixture()
 def chinchilla_csv(tmp_path):
     law = sl.get_law("chinchilla")
@@ -130,6 +139,35 @@ class TestFitCommand:
         assert payloads[0] == payloads[1]
 
 
+class TestByteOrderMark:
+    """Files saved as "CSV UTF-8" by spreadsheet programs start with a BOM."""
+
+    def _fit(self, path, out):
+        return main(["fit", "--data", str(path), "--law", "chinchilla", "--seed", "0",
+                     "--starts", "2", "--out", str(out), "--no-timestamp"])
+
+    def test_csv_with_bom(self, tmp_path, chinchilla_csv, capsys):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(chinchilla_csv).read_bytes())
+        assert self._fit(chinchilla_csv, tmp_path / "plain.json") == 0
+        assert self._fit(bom, tmp_path / "bom.json") == 0
+        capsys.readouterr()
+        fits = [json.loads((tmp_path / f"{name}.json").read_text())["fit"]
+                for name in ("plain", "bom")]
+        assert fits[0] == fits[1]
+
+    def test_json_with_bom(self, tmp_path, chinchilla_csv, capsys):
+        data = sl.load_observations(chinchilla_csv)
+        records = [{"model_id": o.model_id, "n_params": o.n_params, "d_tokens": o.d_tokens,
+                    "loss": o.loss, "x_level": o.x_level} for o in data]
+        path = tmp_path / "bom.json"
+        path.write_text(json.dumps(records), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert sl.load_observations(path) == data
+        assert self._fit(path, tmp_path / "fit.json") == 0
+        capsys.readouterr()
+
+
 class TestCompareCommand:
     def test_generating_law_wins(self, tmp_path, chinchilla_csv, capsys):
         out = tmp_path / "cmp.json"
@@ -211,6 +249,27 @@ class TestExtrapolateCommand:
         payload = json.loads(out.read_text())
         assert payload["sweep"]["columns"] == ["j=8", "j=12", "j=15"]
         assert [r["law_id"] for r in payload["sweep"]["rows"]] == ["chinchilla", "openai"]
+
+
+    def test_unsatisfiable_split_names_first_model_at_any_hash_seed(self, tmp_path):
+        """Several models are too short for j=5; the first in load order is
+        named, whatever the string hash seed."""
+        tokens = {"alpha": 4, "beta": 6, "gamma": 3, "delta": 2, "epsilon": 6}
+        path = tmp_path / "short.csv"
+        lines = ["model_id,n_params,d_tokens,loss"]
+        for i, (model_id, count) in enumerate(tokens.items()):
+            lines += [f"{model_id},{(i + 1) * 1e8},{(t + 1) * 1e9},{3.0 - 0.1 * t}"
+                      for t in range(count)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = ["extrapolate", "--data", str(path), "--laws", "chinchilla",
+                "--mode", "token", "--j", "5"]
+        errors = set()
+        for seed in ("1", "2", "3"):
+            result = run_cli(args, PYTHONHASHSEED=seed)
+            assert result.returncode == 2
+            errors.add(result.stderr)
+        assert errors == {"error[validation]: model 'alpha' has only 4 distinct "
+                          "token counts; j=5 is unsatisfiable\n"}
 
 
 class TestGridAndReportCommands:
