@@ -67,7 +67,9 @@ from .perturb import (
     inject,
     inject_segmented,
     measure_snr,
+    measure_wvec,
     noise_sigma2,
+    perturb_wvec,
     read_weights_text,
     read_wvec,
     signal_power,
@@ -100,5 +102,6 @@ __all__ = [
     # perturb
     "WeightVector", "PerturbReport",
     "signal_power", "noise_sigma2", "inject", "inject_segmented", "measure_snr",
+    "perturb_wvec", "measure_wvec",
     "read_wvec", "write_wvec", "read_weights_text", "write_weights_text",
 ]

@@ -38,9 +38,8 @@ from .landscape import GridSpec, detect_basin, exponent_report, grid_eval
 from .laws import LAW_IDS, apply_orientation, get_law, law_registry, predict_dataset, with_orientation
 from .metrics import STD_KIND, EvalPairs, r_squared, summarize_levels
 from .perturb import (
-    inject,
-    inject_segmented,
-    measure_snr,
+    measure_wvec,
+    perturb_wvec,
     read_weights_text,
     read_wvec,
     write_weights_text,
@@ -364,22 +363,16 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:
-    weights = read_wvec(args.infile)
-    if args.segments:
-        lengths = _parse_int_list(args.segments, "--segments")
-        perturbed, reports = inject_segmented(weights, lengths, args.snr_db, args.seed)
-        report_payload = [r.to_dict() for r in reports]
-    else:
-        perturbed, report = inject(weights, args.snr_db, args.seed)
-        report_payload = report.to_dict()
-    write_wvec(args.out, perturbed)
+    segments = _parse_int_list(args.segments, "--segments") if args.segments else None
     manifest = _manifest(args, [args.infile])
+    report = perturb_wvec(args.infile, args.out, args.snr_db, args.seed, segments)
+    report_payload = report.to_dict() if segments is None else [r.to_dict() for r in report]
     _write_sidecar_manifest(args.out, manifest)
     report_path = args.report or str(args.out) + ".report.json"
     _dump_json({"perturb": report_payload, "manifest": manifest}, report_path)
     if isinstance(report_payload, dict):
         print(
-            f"injected {args.snr_db} dB into {weights.count} weights "
+            f"injected {args.snr_db} dB into {report_payload['count']} weights "
             f"(sigma2={report_payload['sigma2']:.6e}, "
             f"empirical={report_payload['empirical_snr_db']:.3f} dB)"
         )
@@ -389,12 +382,10 @@ def cmd_perturb(args: argparse.Namespace) -> int:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    original = read_wvec(args.original)
-    perturbed = read_wvec(args.perturbed)
-    snr_db = measure_snr(original, perturbed)
+    snr_db, count = measure_wvec(args.original, args.perturbed)
     if args.out:
         payload = {
-            "measure": {"empirical_snr_db": snr_db, "count": original.count},
+            "measure": {"empirical_snr_db": snr_db, "count": count},
             "manifest": _manifest(args, [args.original, args.perturbed]),
         }
         _dump_json(payload, args.out)

@@ -10,6 +10,21 @@ Noise draws come from numpy's Generator with the PCG64 bit generator
 within this implementation. float32 inputs are perturbed in double
 precision and rounded once at the end.
 
+Every pass streams the weights through fixed-size leaves of `_LEAF`
+elements: a leaf is widened to float64, checked for finiteness,
+squared, noised and written before the next one is read. Working memory
+is a few leaf-sized buffers whatever the vector length. Leaf sums are
+combined in the tree numpy's pairwise summation builds over the whole
+array, and normal draws do not depend on how they are chunked, so
+powers, noise, outputs and SNRs are bit-identical to whole-array numpy
+arithmetic. The in-memory functions (`signal_power`, `inject`,
+`inject_segmented`, `measure_snr`) and the file functions
+(`perturb_wvec`, `measure_wvec`) share this kernel; the file functions
+never hold more than a leaf of the vector. Perturbation makes two
+passes: the first computes every segment's power and validates, so no
+output exists when an input is rejected; the second draws the noise
+and writes. Segments run serially, each with its own stream.
+
 Weight files use a small binary container (magic "WVEC"): the 4 magic
 bytes, a u8 version (1), a u8 dtype code (0 = f32, 1 = f64), a
 little-endian u64 element count, then the raw little-endian IEEE-754
@@ -20,10 +35,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +51,18 @@ WVEC_VERSION = 1
 _DTYPE_CODES = {"f32": 0, "f64": 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _HEADER = struct.Struct("<4sBBQ")
+
+# Elements per leaf: 256 KB as float64, so a leaf's few temporaries fit
+# in a 2 MB L2 cache. On a 2-vCPU Xeon with 2 MB L2 per core, 1 << 15
+# ran perturb about 1.8x and measure about 4x faster than 1 << 18 on a
+# 20M-value file. Must be at least numpy's pairwise-summation block of
+# 128 elements for leaf sums to match.
+_LEAF = 1 << 15
+
+# A reader returns the next m values of a vector; a writer takes the
+# next output values.
+_Reader = Callable[[int], np.ndarray]
+_Writer = Callable[[np.ndarray], object]
 
 
 @dataclass(frozen=True)
@@ -97,10 +126,175 @@ class PerturbReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
+# ---------------------------------------------------------------------
+# Leaf kernel
+# ---------------------------------------------------------------------
+
+def _pairwise(count: int, leaf: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Sum of ``leaf(m)`` over consecutive leaves covering `count` values.
+
+    Splits as numpy's pairwise summation does (the left part is
+    count // 2 rounded down to a multiple of 8) until a part fits in
+    `_LEAF`, and visits the parts in ascending order. When ``leaf(m)``
+    returns ``np.add.reduce`` of the next m terms, the result equals
+    ``np.add.reduce`` of all `count` terms bit for bit.
+    """
+    if count <= _LEAF:
+        return leaf(count)
+    half = count // 2
+    half -= half % 8
+    return _pairwise(half, leaf) + _pairwise(count - half, leaf)
+
+
+def _sum_squares(values: np.ndarray, source: np.ndarray, where: str) -> np.float64:
+    """Sum of squares of a float64 leaf computed from `source`,
+    rejecting non-finite source values.
+
+    The sum is finite only if every term is, and a term is finite only
+    if its source values are, so the element-wise check runs only on a
+    leaf whose sum is not.
+    """
+    total = np.add.reduce(np.square(values))
+    if not np.isfinite(total) and not np.isfinite(source).all():
+        raise DataValidationError(f"{where}weight vector contains non-finite values")
+    return total
+
+
+def _mean_square(read: _Reader, count: int, where: str = "") -> float:
+    def leaf(m: int) -> np.float64:
+        values = read(m).astype(np.float64, copy=False)
+        return _sum_squares(values, values, where)
+
+    return float(_pairwise(count, leaf) / count)
+
+
+def _array_reader(values: np.ndarray) -> _Reader:
+    offset = 0
+
+    def read(m: int) -> np.ndarray:
+        nonlocal offset
+        offset += m
+        return values[offset - m:offset]
+
+    return read
+
+
+def _array_writer(out: np.ndarray) -> _Writer:
+    offset = 0
+
+    def write(values: np.ndarray) -> None:
+        nonlocal offset
+        out[offset:offset + values.size] = values
+        offset += values.size
+
+    return write
+
+
+def _calibrate(
+    read: _Reader, count: int, segments: Sequence[int] | None, snr_db: float, where: str
+) -> list[tuple[int, float, float]]:
+    """Pass 1: (length, signal power, sigma2) per segment, or for the
+    whole vector when `segments` is None; raises on bad input."""
+    lengths = [count] if segments is None else [int(v) for v in segments]
+    if any(v < 1 for v in lengths) or sum(lengths) != count:
+        raise DataValidationError(
+            f"segment lengths must be positive and sum to {count}, got {lengths}"
+        )
+    powers = [_mean_square(read, length, where) for length in lengths]
+    calibration = []
+    for index, (length, p_w) in enumerate(zip(lengths, powers)):
+        if p_w == 0.0:
+            raise DataValidationError(
+                "zero signal power; SNR-calibrated injection undefined" if segments is None
+                else f"segment {index} has zero signal power"
+            )
+        calibration.append((length, p_w, noise_sigma2(p_w, snr_db)))
+    return calibration
+
+
+def _inject(
+    read: _Reader,
+    write: _Writer,
+    dtype: np.dtype,
+    calibration: list[tuple[int, float, float]],
+    snr_db: float,
+    seed: int,
+    segmented: bool,
+) -> list[PerturbReport]:
+    """Pass 2: draw each segment's noise, write the perturbed values."""
+    reports = []
+    for index, (length, p_w, sigma2) in enumerate(calibration):
+        if segmented:
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+        else:
+            rng = np.random.default_rng(seed)
+        scale = math.sqrt(sigma2)
+
+        def leaf(m: int) -> np.float64:
+            noise = rng.standard_normal(m) * scale
+            values = read(m).astype(np.float64, copy=False) + noise
+            write(values.astype(dtype, copy=False))
+            return np.add.reduce(np.square(noise))
+
+        p_noise = float(_pairwise(length, leaf) / length)
+        reports.append(
+            PerturbReport(
+                target_snr_db=float(snr_db),
+                signal_power=p_w,
+                sigma2=sigma2,
+                empirical_snr_db=10.0 * math.log10(p_w / p_noise),
+                seed=int(seed),
+                count=length,
+                power_mode=f"segment:{index}" if segmented else "global",
+            )
+        )
+    return reports
+
+
+def _perturb_array(
+    w: WeightVector, segments: Sequence[int] | None, snr_db: float, seed: int
+) -> tuple[WeightVector, list[PerturbReport]]:
+    calibration = _calibrate(_array_reader(w.values), w.count, segments, snr_db, "")
+    out = np.empty_like(w.values)
+    reports = _inject(_array_reader(w.values), _array_writer(out), w.values.dtype,
+                      calibration, snr_db, seed, segments is not None)
+    return WeightVector(out), reports
+
+
+def _snr_db(
+    read_original: _Reader,
+    read_perturbed: _Reader,
+    count: int,
+    count_perturbed: int,
+    where_original: str = "",
+    where_perturbed: str = "",
+) -> float:
+    if count != count_perturbed:
+        raise DataValidationError(f"vector lengths differ: {count} vs {count_perturbed}")
+
+    def leaf(m: int) -> np.ndarray:
+        original = read_original(m).astype(np.float64, copy=False)
+        perturbed = read_perturbed(m).astype(np.float64, copy=False)
+        return np.array([
+            _sum_squares(original, original, where_original),
+            _sum_squares(perturbed - original, perturbed, where_perturbed),
+        ])
+
+    p_sig, p_diff = (float(v) for v in _pairwise(count, leaf) / count)
+    if p_sig == 0.0:
+        raise DataValidationError("zero signal power; SNR undefined")
+    if p_diff == 0.0:
+        raise DataValidationError("vectors are identical; SNR is infinite")
+    return 10.0 * math.log10(p_sig / p_diff)
+
+
+# ---------------------------------------------------------------------
+# In-memory API
+# ---------------------------------------------------------------------
+
 def signal_power(w: WeightVector) -> float:
     """Mean squared weight, accumulated in double precision."""
-    values = w.values.astype(np.float64, copy=False)
-    return float(np.mean(np.square(values)))
+    return _mean_square(_array_reader(w.values), w.count)
 
 
 def noise_sigma2(p_w: float, snr_db: float) -> float:
@@ -110,10 +304,6 @@ def noise_sigma2(p_w: float, snr_db: float) -> float:
     if not math.isfinite(snr_db):
         raise DataValidationError(f"snr_db must be finite, got {snr_db}")
     return p_w / 10.0 ** (snr_db / 10.0)
-
-
-def _draw_noise(count: int, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal(count) * math.sqrt(sigma2)
 
 
 def inject(
@@ -133,24 +323,8 @@ def inject(
     Raises:
         DataValidationError: zero signal power (SNR undefined).
     """
-    p_w = signal_power(w)
-    if p_w == 0.0:
-        raise DataValidationError("zero signal power; SNR-calibrated injection undefined")
-    sigma2 = noise_sigma2(p_w, snr_db)
-    rng = np.random.default_rng(seed)
-    noise = _draw_noise(w.count, sigma2, rng)
-    perturbed64 = w.values.astype(np.float64, copy=False) + noise
-    out = perturbed64.astype(w.values.dtype)
-    report = PerturbReport(
-        target_snr_db=float(snr_db),
-        signal_power=p_w,
-        sigma2=sigma2,
-        empirical_snr_db=10.0 * math.log10(p_w / float(np.mean(np.square(noise)))),
-        seed=int(seed),
-        count=w.count,
-        power_mode="global",
-    )
-    return WeightVector(out), report
+    out, [report] = _perturb_array(w, None, snr_db, seed)
+    return out, report
 
 
 def inject_segmented(
@@ -158,41 +332,12 @@ def inject_segmented(
 ) -> tuple[WeightVector, list[PerturbReport]]:
     """Per-segment calibration for multi-tensor files.
 
-    Each segment gets its own signal power, noise variance, and an
-    independent stream seeded by SeedSequence(seed, spawn_key=(i,)) for
-    segment index i, so segments can be processed concurrently with
-    identical results.
+    Each segment gets its own signal power and noise variance. Segments
+    run serially, each drawing from an independent stream seeded by
+    SeedSequence(seed, spawn_key=(i,)) for segment index i, so a
+    segment's noise depends only on the seed, its index and its length.
     """
-    lengths = [int(v) for v in segment_lengths]
-    if any(v < 1 for v in lengths) or sum(lengths) != w.count:
-        raise DataValidationError(
-            f"segment lengths must be positive and sum to {w.count}, got {lengths}"
-        )
-    out = w.values.astype(np.float64)
-    reports = []
-    offset = 0
-    for index, length in enumerate(lengths):
-        segment = WeightVector(w.values[offset:offset + length].copy())
-        p_w = signal_power(segment)
-        if p_w == 0.0:
-            raise DataValidationError(f"segment {index} has zero signal power")
-        sigma2 = noise_sigma2(p_w, snr_db)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-        noise = _draw_noise(length, sigma2, rng)
-        out[offset:offset + length] += noise
-        reports.append(
-            PerturbReport(
-                target_snr_db=float(snr_db),
-                signal_power=p_w,
-                sigma2=sigma2,
-                empirical_snr_db=10.0 * math.log10(p_w / float(np.mean(np.square(noise)))),
-                seed=int(seed),
-                count=length,
-                power_mode=f"segment:{index}",
-            )
-        )
-        offset += length
-    return WeightVector(out.astype(w.values.dtype)), reports
+    return _perturb_array(w, segment_lengths, snr_db, seed)
 
 
 def measure_snr(original: WeightVector, perturbed: WeightVector) -> float:
@@ -202,23 +347,115 @@ def measure_snr(original: WeightVector, perturbed: WeightVector) -> float:
         DataValidationError: length mismatch, zero signal power, or
             identical vectors (the SNR would be infinite).
     """
-    if original.count != perturbed.count:
-        raise DataValidationError(
-            f"vector lengths differ: {original.count} vs {perturbed.count}"
-        )
-    p_sig = signal_power(original)
-    if p_sig == 0.0:
-        raise DataValidationError("zero signal power; SNR undefined")
-    diff = perturbed.values.astype(np.float64) - original.values.astype(np.float64)
-    p_diff = float(np.mean(np.square(diff)))
-    if p_diff == 0.0:
-        raise DataValidationError("vectors are identical; SNR is infinite")
-    return 10.0 * math.log10(p_sig / p_diff)
+    return _snr_db(_array_reader(original.values), _array_reader(perturbed.values),
+                   original.count, perturbed.count)
 
 
 # ---------------------------------------------------------------------
 # WVEC container and text form
 # ---------------------------------------------------------------------
+
+@contextmanager
+def _open_wvec(path: str | Path) -> Iterator[tuple[BinaryIO, int, int]]:
+    """Open a WVEC file and check its header against the file size
+    before any payload is read. Yields (file, dtype code, count) with
+    the file positioned at the payload."""
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise DataValidationError(f"{path}: truncated header")
+        magic, version, dtype_code, count = _HEADER.unpack(header)
+        if magic != WVEC_MAGIC:
+            raise DataValidationError(f"{path}: bad magic {magic!r}")
+        if version != WVEC_VERSION:
+            raise DataValidationError(f"{path}: unsupported version {version}")
+        if dtype_code not in _CODE_DTYPES:
+            raise DataValidationError(f"{path}: unknown dtype code {dtype_code}")
+        expected = _HEADER.size + count * _CODE_DTYPES[dtype_code].itemsize
+        found = os.fstat(fh.fileno()).st_size
+        if found != expected:
+            raise DataValidationError(
+                f"{path}: expected {expected} bytes for {count} elements, found {found}"
+            )
+        if count < 1:
+            raise DataValidationError(f"{path}: weight vector must hold at least one element")
+        yield fh, dtype_code, count
+
+
+def _file_reader(fh: BinaryIO, dtype_code: int, path: str | Path) -> _Reader:
+    """_Reader over the payload from its start."""
+    dtype = _CODE_DTYPES[dtype_code]
+    fh.seek(_HEADER.size)
+
+    def read(m: int) -> np.ndarray:
+        values = np.fromfile(fh, dtype=dtype, count=m)
+        if values.size != m:
+            raise DataValidationError(f"{path}: payload ended early")
+        return values
+
+    return read
+
+
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """A new file beside `path` that replaces it when the block exits
+    normally and is deleted when it raises, so `path` is never left
+    half-written and may also be the file being read."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
+
+
+def perturb_wvec(
+    src: str | Path,
+    dst: str | Path,
+    snr_db: float,
+    seed: int,
+    segments: Sequence[int] | None = None,
+) -> PerturbReport | list[PerturbReport]:
+    """Stream a WVEC file through :func:`inject` (or, with `segments`,
+    :func:`inject_segmented`) into another WVEC file.
+
+    Output bytes and reports equal those of the in-memory functions on
+    the same vector. Memory use does not grow with the file size. Every
+    input check, including finiteness of each value, runs before the
+    output is created; the output is written beside `dst` and renamed
+    over it at the end, so `dst` may be `src`.
+
+    Returns:
+        The report, or one report per segment when `segments` is given.
+    """
+    with _open_wvec(src) as (fh, dtype_code, count):
+        calibration = _calibrate(_file_reader(fh, dtype_code, src), count, segments, snr_db,
+                                 f"{src}: ")
+        with _replacing(dst) as out:
+            out.write(_HEADER.pack(WVEC_MAGIC, WVEC_VERSION, dtype_code, count))
+            reports = _inject(_file_reader(fh, dtype_code, src), out.write,
+                              _CODE_DTYPES[dtype_code], calibration, snr_db, seed,
+                              segments is not None)
+    return reports[0] if segments is None else reports
+
+
+def measure_wvec(original: str | Path, perturbed: str | Path) -> tuple[float, int]:
+    """:func:`measure_snr` between two WVEC files, streamed leaf by leaf.
+
+    Returns:
+        (empirical SNR in dB, element count).
+    """
+    with _open_wvec(original) as (fh_o, code_o, count), \
+            _open_wvec(perturbed) as (fh_p, code_p, count_p):
+        snr_db = _snr_db(_file_reader(fh_o, code_o, original),
+                         _file_reader(fh_p, code_p, perturbed), count, count_p,
+                         f"{original}: ", f"{perturbed}: ")
+    return snr_db, count
+
 
 def write_wvec(path: str | Path, w: WeightVector) -> None:
     """Write the binary weight container (bit-exact, little endian)."""
@@ -226,30 +463,13 @@ def write_wvec(path: str | Path, w: WeightVector) -> None:
     header = _HEADER.pack(WVEC_MAGIC, WVEC_VERSION, _DTYPE_CODES[w.dtype_code], w.count)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(w.values, dtype=dtype).tobytes())
+        fh.write(np.ascontiguousarray(w.values, dtype=dtype))
 
 
 def read_wvec(path: str | Path) -> WeightVector:
     """Read the binary weight container, validating the header strictly."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise DataValidationError(f"{path}: truncated header")
-    magic, version, dtype_code, count = _HEADER.unpack_from(blob)
-    if magic != WVEC_MAGIC:
-        raise DataValidationError(f"{path}: bad magic {magic!r}")
-    if version != WVEC_VERSION:
-        raise DataValidationError(f"{path}: unsupported version {version}")
-    if dtype_code not in _CODE_DTYPES:
-        raise DataValidationError(f"{path}: unknown dtype code {dtype_code}")
-    dtype = _CODE_DTYPES[dtype_code]
-    expected = _HEADER.size + count * dtype.itemsize
-    if len(blob) != expected:
-        raise DataValidationError(
-            f"{path}: expected {expected} bytes for {count} elements, found {len(blob)}"
-        )
-    values = np.frombuffer(blob, dtype=dtype, offset=_HEADER.size).copy()
-    return WeightVector(values)
+    with _open_wvec(path) as (fh, dtype_code, count):
+        return WeightVector(np.fromfile(fh, dtype=_CODE_DTYPES[dtype_code], count=count))
 
 
 def write_weights_text(path: str | Path, w: WeightVector) -> None:

@@ -394,6 +394,42 @@ class TestPerturbPipeline:
         assert outs[0] == outs[1]
 
 
+    def test_same_path_output_matches_separate_output(self, tmp_path, capsys):
+        w = sl.WeightVector(np.random.default_rng(11).normal(0, 1, 70_000))
+        inplace, source = tmp_path / "inplace.wvec", tmp_path / "source.wvec"
+        sl.write_wvec(inplace, w)
+        sl.write_wvec(source, w)
+        separate = tmp_path / "separate.wvec"
+        for src, out in ((source, separate), (inplace, inplace)):
+            assert main(["perturb", "--in", str(src), "--snr-db", "12", "--seed", "5",
+                         "--out", str(out), "--no-timestamp"]) == 0
+        capsys.readouterr()
+        assert inplace.read_bytes() == separate.read_bytes()
+        reports = [json.loads(Path(f"{out}.report.json").read_text())["perturb"]
+                   for out in (inplace, separate)]
+        assert reports[0] == reports[1]
+        assert not list(tmp_path.glob(".*"))
+
+    def test_failed_run_leaves_no_output(self, tmp_path, capsys):
+        src = tmp_path / "zeros.wvec"
+        sl.write_wvec(src, sl.WeightVector(np.zeros(100)))
+        out = tmp_path / "out.wvec"
+        assert main(["perturb", "--in", str(src), "--snr-db", "20", "--out", str(out)]) == 2
+        assert main(["perturb", "--in", str(src), "--snr-db", "20", "--out", str(src)]) == 2
+        assert "zero signal power" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["zeros.wvec"]
+        assert sl.read_wvec(src).count == 100
+
+    def test_failed_run_keeps_existing_output(self, tmp_path, capsys):
+        src = tmp_path / "w.wvec"
+        sl.write_wvec(src, sl.WeightVector(np.ones(100)))
+        out = tmp_path / "out.wvec"
+        out.write_bytes(b"previous")
+        assert main(["perturb", "--in", str(src), "--snr-db", "20",
+                     "--segments", "40,40", "--out", str(out)]) == 2
+        assert "sum to 100" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous"
+
 class TestErrorContract:
     """Bad seeds and unusable files give one error[validation] line and exit 2."""
 
@@ -431,6 +467,24 @@ class TestErrorContract:
         self._assert_validation_error(code, capsys)
 
 
+    @pytest.mark.parametrize("blob", [
+        b"WVEC\x01",
+        b"NOPE\x01\x01" + (1).to_bytes(8, "little") + bytes(8),
+        b"WVEC\x02\x01" + (1).to_bytes(8, "little") + bytes(8),
+        b"WVEC\x01\x07" + (1).to_bytes(8, "little") + bytes(8),
+        b"WVEC\x01\x01" + (2).to_bytes(8, "little") + bytes(8),
+        b"WVEC\x01\x00" + (1).to_bytes(8, "little") + bytes(5),
+    ], ids=["truncated_header", "magic", "version", "dtype", "short", "long"])
+    def test_corrupt_wvec(self, tmp_path, wvec, blob, capsys):
+        bad = tmp_path / "bad.wvec"
+        bad.write_bytes(blob)
+        code = main(["perturb", "--in", str(bad), "--snr-db", "20",
+                     "--out", str(tmp_path / "out.wvec")])
+        self._assert_validation_error(code, capsys)
+        code = main(["measure", "--original", str(wvec), "--perturbed", str(bad)])
+        self._assert_validation_error(code, capsys)
+        assert not (tmp_path / "out.wvec").exists()
+
 class TestThreadCountDeterminism:
     def _run(self, args, threads):
         src = str(Path(sl.__file__).resolve().parents[1])
@@ -453,3 +507,54 @@ class TestThreadCountDeterminism:
                        "--starts", "4", "--out", str(cmp_out), "--no-timestamp"], threads)
             outputs[threads] = (fit_out.read_bytes(), cmp_out.read_bytes())
         assert outputs[1] == outputs[2]
+
+
+# Runs COMMAND from a fresh, small interpreter and prints its exit code and
+# peak RSS in KiB. Linux carries the RSS high-water mark over fork and
+# exec, so a child started straight from the test process would report at
+# least the test process's own peak.
+_PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+class TestPeakRss:
+    """perturb and measure hold a few fixed-size leaves, not the vector."""
+
+    BUDGET_MB = 32.0
+    SLOPE_MB = 8.0
+
+    def _peak_mb(self, args):
+        src = str(Path(sl.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-m", "scalelaws.cli",
+             *args],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        code, kib = proc.stdout.split()
+        assert code == "0", proc.stderr
+        return int(kib) / 1024.0
+
+    def test_peak_rss_bounded_and_flat_in_file_size(self, tmp_path):
+        baseline = self._peak_mb(["--version"])
+        peaks = {}
+        for n in (2_000_000, 8_000_000):
+            src, out = tmp_path / f"w{n}.wvec", tmp_path / f"p{n}.wvec"
+            values = np.random.default_rng(n).standard_normal(n, dtype=np.float32)
+            sl.write_wvec(src, sl.WeightVector(values))
+            del values
+            peaks["perturb", n] = self._peak_mb(
+                ["perturb", "--in", str(src), "--snr-db", "20", "--out", str(out),
+                 "--no-timestamp"])
+            peaks["measure", n] = self._peak_mb(
+                ["measure", "--original", str(src), "--perturbed", str(out)])
+        for (command, n), peak in peaks.items():
+            assert peak - baseline < self.BUDGET_MB, (command, n, peak, baseline)
+        for command in ("perturb", "measure"):
+            growth = peaks[command, 8_000_000] - peaks[command, 2_000_000]
+            assert abs(growth) < self.SLOPE_MB, (command, peaks)

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalelaws as sl
+from scalelaws.perturb import _LEAF as LEAF
 from scalelaws.perturb import WVEC_MAGIC
 
 
@@ -250,3 +253,166 @@ class TestWvecContainer:
         path.write_text("1.5\nnot-a-number\n", encoding="utf-8")
         with pytest.raises(sl.DataValidationError, match="line 2"):
             sl.read_weights_text(path)
+
+
+LENGTHS = [1, 7, 8, 129, LEAF - 1, LEAF, LEAF + 1, 3 * LEAF + 5]
+
+
+def spread_values(n, dtype, seed=0):
+    """Values over six decades, so summation order shows in the last bits."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(n) * np.exp(rng.uniform(-7, 7, n))).astype(dtype)
+
+
+def write_raw_wvec(path, values):
+    """A WVEC file holding any values, NaN included, or none."""
+    values = np.asarray(values)
+    code = 0 if values.dtype == np.float32 else 1
+    header = WVEC_MAGIC + bytes([1, code]) + values.size.to_bytes(8, "little")
+    path.write_bytes(header + values.astype(values.dtype.newbyteorder("<")).tobytes())
+    return path
+
+
+class TestLeafKernel:
+    """The leaf walk reproduces numpy's whole-array pairwise sums."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_signal_power_bit_identical_to_numpy_mean(self, dtype, n):
+        # A wrong split changes the last bit in only some draws, so
+        # multi-leaf lengths are checked over several.
+        for seed in range(8 if n > LEAF else 1):
+            x = spread_values(n, dtype, seed=seed)
+            expected = float(np.mean(np.square(x.astype(np.float64))))
+            assert sl.signal_power(sl.WeightVector(x)).hex() == expected.hex(), seed
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inject_and_measure_match_whole_array_arithmetic(self, dtype):
+        n = 8 * LEAF + 13
+        for seed in range(4):
+            x = spread_values(n, dtype, seed=seed)
+            w = sl.WeightVector(x)
+            perturbed, report = sl.inject(w, 15.0, seed)
+            x64 = x.astype(np.float64)
+            p_w = float(np.mean(np.square(x64)))
+            noise = np.random.default_rng(seed).standard_normal(n) * math.sqrt(
+                sl.noise_sigma2(p_w, 15.0))
+            np.testing.assert_array_equal(perturbed.values, (x64 + noise).astype(dtype))
+            p_noise = float(np.mean(np.square(noise)))
+            assert report.empirical_snr_db == 10.0 * math.log10(p_w / p_noise)
+            p_diff = float(np.mean(np.square(perturbed.values.astype(np.float64) - x64)))
+            assert sl.measure_snr(w, perturbed) == 10.0 * math.log10(p_w / p_diff)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_file_and_memory_paths_agree(self, tmp_path, dtype):
+        n = 3 * LEAF + 5
+        w = sl.WeightVector(spread_values(n, dtype))
+        src = tmp_path / "w.wvec"
+        sl.write_wvec(src, w)
+        segments = [LEAF - 1, 5, 2 * LEAF + 1]
+        for memory, file_segments in (
+            (sl.inject(w, 17.0, seed=4), None),
+            (sl.inject_segmented(w, segments, 17.0, seed=4), segments),
+        ):
+            perturbed, memory_report = memory
+            expected = tmp_path / "expected.wvec"
+            sl.write_wvec(expected, perturbed)
+            out = tmp_path / "out.wvec"
+            file_report = sl.perturb_wvec(src, out, 17.0, 4, file_segments)
+            assert out.read_bytes() == expected.read_bytes()
+            assert file_report == memory_report
+            snr, count = sl.measure_wvec(src, out)
+            assert count == n
+            assert snr.hex() == sl.measure_snr(w, perturbed).hex()
+
+    def test_nan_in_last_leaf_rejected_before_output(self, tmp_path):
+        values = spread_values(3 * LEAF + 5, np.float32)
+        values[-1] = np.nan
+        src = write_raw_wvec(tmp_path / "w.wvec", values)
+        out = tmp_path / "out.wvec"
+        with pytest.raises(sl.DataValidationError, match="non-finite") as exc:
+            sl.perturb_wvec(src, out, 20.0, 0)
+        assert str(src) in str(exc.value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.wvec"]
+
+    @pytest.mark.parametrize("which", ["original", "perturbed"])
+    def test_measure_rejects_non_finite_file(self, tmp_path, which):
+        values = spread_values(LEAF + 1, np.float64)
+        paths = {name: write_raw_wvec(tmp_path / f"{name}.wvec", values + i)
+                 for i, name in enumerate(("original", "perturbed"))}
+        bad = values.copy()
+        bad[LEAF] = np.inf
+        write_raw_wvec(paths[which], bad)
+        with pytest.raises(sl.DataValidationError, match="non-finite") as exc:
+            sl.measure_wvec(paths["original"], paths["perturbed"])
+        assert str(paths[which]) in str(exc.value)
+
+    def test_file_errors_match_memory_errors(self, tmp_path):
+        src = tmp_path / "w.wvec"
+        sl.write_wvec(src, vec([0.0, 0.0, 0.0]))
+        with pytest.raises(sl.DataValidationError, match="zero signal power"):
+            sl.perturb_wvec(src, tmp_path / "out.wvec", 10.0, 0)
+        sl.write_wvec(src, vec(np.ones(10)))
+        with pytest.raises(sl.DataValidationError, match="sum to 10"):
+            sl.perturb_wvec(src, tmp_path / "out.wvec", 10.0, 0, [4, 4])
+        with pytest.raises(sl.DataValidationError, match="identical"):
+            sl.measure_wvec(src, src)
+        other = tmp_path / "other.wvec"
+        sl.write_wvec(other, vec(np.ones(11)))
+        with pytest.raises(sl.DataValidationError, match="lengths differ"):
+            sl.measure_wvec(src, other)
+        assert not (tmp_path / "out.wvec").exists()
+
+
+@st.composite
+def corrupt_wvec_files(draw):
+    """(file bytes, kind) for a WVEC file with exactly one defect."""
+    code = draw(st.sampled_from([0, 1]))
+    count = draw(st.integers(1, 20))
+    itemsize = 4 if code == 0 else 8
+    header = bytearray(WVEC_MAGIC + bytes([1, code]) + count.to_bytes(8, "little"))
+    payload = bytes(count * itemsize)
+    kind = draw(st.sampled_from(
+        ["truncated_header", "short_payload", "long_payload", "magic", "version", "dtype"]
+    ))
+    if kind == "truncated_header":
+        return bytes(header[:draw(st.integers(0, len(header) - 1))]), kind
+    if kind == "short_payload":
+        return bytes(header) + payload[:draw(st.integers(0, len(payload) - 1))], kind
+    if kind == "long_payload":
+        return bytes(header) + payload + draw(st.binary(min_size=1, max_size=16)), kind
+    if kind == "magic":
+        header[:4] = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != WVEC_MAGIC))
+    elif kind == "version":
+        header[4] = draw(st.integers(0, 255).filter(lambda v: v != 1))
+    else:
+        header[5] = draw(st.integers(2, 255))
+    return bytes(header) + payload, kind
+
+
+class TestWvecRejection:
+    """Every malformed container is a DataValidationError naming the path."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(case=corrupt_wvec_files())
+    def test_corrupt_files_rejected(self, tmp_path_factory, case):
+        blob, kind = case
+        path = tmp_path_factory.mktemp("bad") / "w.wvec"
+        path.write_bytes(blob)
+        good = path.with_name("good.wvec")
+        sl.write_wvec(good, vec([1.0]))
+        for call in (
+            lambda: sl.read_wvec(path),
+            lambda: sl.perturb_wvec(path, path.with_name("out.wvec"), 20.0, 0),
+            lambda: sl.measure_wvec(path, good),
+            lambda: sl.measure_wvec(good, path),
+        ):
+            with pytest.raises(sl.DataValidationError) as exc:
+                call()
+            assert str(path) in str(exc.value), kind
+        assert not path.with_name("out.wvec").exists()
+
+    def test_zero_count_rejected(self, tmp_path):
+        path = write_raw_wvec(tmp_path / "w.wvec", np.zeros(0))
+        with pytest.raises(sl.DataValidationError, match="at least one element"):
+            sl.read_wvec(path)
