@@ -42,22 +42,12 @@ def main():
                     sl.Observation(f"model-{i}", n, float(d), loss, x_level=level)
                 )
     data = sl.ObservationSet(tuple(observations))
-    groups = sl.group_by_level(data)
 
     config = sl.FitConfig(starts=4, random_starts=8, seed=0,
                           objective_space="log_loss", max_iters=300)
-    header = "law".ljust(22) + "".join(f"{level:>9.0f}" for level, _ in groups)
-    print(header + "   avg ± std")
-    for law_id in LAW_IDS:
-        law = sl.get_law(law_id)
-        scores = []
-        for level, group in groups:
-            result = sl.fit(law, group, config)
-            scores.append((level, result.r2_train))
-        avg, std = sl.summarize_levels(scores)
-        cells = "".join(f"{r2:>9.4f}" for _, r2 in scores)
-        print(law_id.ljust(22) + cells + f"   {avg:.4f} ± {std:.2f}")
-
+    laws = [sl.get_law(law_id) for law_id in LAW_IDS]
+    table = sl.compare_laws(data, laws, config, group_by_level=True)
+    print(table.to_text())
 
 if __name__ == "__main__":
     main()

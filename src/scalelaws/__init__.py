@@ -29,9 +29,12 @@ from .errors import (
     UndefinedVarianceError,
 )
 from .extrapolation import (
+    ComparisonTable,
     ExtrapReport,
     SplitSpec,
     SweepTable,
+    compare_laws,
+    fit_levels,
     make_split,
     progressive_sweep,
     run_extrapolation,
@@ -93,9 +96,9 @@ __all__ = [
     "FitConfig", "FitResult", "fit", "local_solve", "residuals",
     # metrics
     "EvalPairs", "r_squared", "pooled_r_squared", "summarize_levels",
-    # extrapolation
-    "SplitSpec", "ExtrapReport", "SweepTable",
-    "make_split", "run_extrapolation", "progressive_sweep",
+    # level fitting, comparison and extrapolation
+    "ComparisonTable", "SplitSpec", "ExtrapReport", "SweepTable",
+    "fit_levels", "compare_laws", "make_split", "run_extrapolation", "progressive_sweep",
     # landscape
     "GridSpec", "LossGrid", "BasinReport", "ExponentReport",
     "grid_eval", "detect_basin", "optimal_along_axis", "exponent_report",

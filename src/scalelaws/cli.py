@@ -23,20 +23,18 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .dataset import Normalization, group_by_level, load_observations
+from .dataset import Normalization, load_observations
 from .errors import (
     DataValidationError,
     FitError,
     LawDomainError,
-    ScaleLawsError,
     SplitError,
     UndefinedVarianceError,
 )
-from .extrapolation import SplitSpec, make_split, progressive_sweep
+from .extrapolation import SplitSpec, compare_laws, progressive_sweep
 from .fitter import FitConfig, fit, fit_result_from_dict
 from .landscape import GridSpec, detect_basin, exponent_report, grid_eval
-from .laws import LAW_IDS, apply_orientation, get_law, law_registry, predict_dataset, with_orientation
-from .metrics import STD_KIND, EvalPairs, r_squared, summarize_levels
+from .laws import LAW_IDS, get_law, law_registry, with_orientation
 from .perturb import (
     measure_wvec,
     perturb_wvec,
@@ -162,104 +160,25 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _comparison_rows(data, laws, args) -> tuple[list, list]:
-    """Per-law rows of (level, r2 | None, error | None) cells."""
-    if args.group_by_level:
-        groups = group_by_level(data)
-    else:
-        groups = [("all", data)]
-    levels = [level for level, _ in groups]
-    config = _fit_config(args)
-    rows = []
-    for law in laws:
-        oriented = apply_orientation(law, getattr(args, "x_orientation", None))
-        cells = []
-        if law.needs_x and args.x_fit_mode == "joint" and args.group_by_level:
-            try:
-                joint = fit(oriented, data, config)
-                for level, group in groups:
-                    pred = predict_dataset(oriented, joint.params, group)
-                    try:
-                        cells.append((level, r_squared(EvalPairs.of(pred, group.losses())), None))
-                    except ScaleLawsError as exc:
-                        cells.append((level, None, str(exc)))
-            except ScaleLawsError as exc:
-                cells = [(level, None, str(exc)) for level in levels]
-        else:
-            for level, group in groups:
-                try:
-                    result = fit(oriented, group, config)
-                    cells.append((level, result.r2_train, None))
-                except ScaleLawsError as exc:
-                    cells.append((level, None, str(exc)))
-        rows.append(cells)
-    return levels, rows
-
-
-def _comparison_dict(levels, laws, rows, args) -> dict:
-    table_rows = []
-    for law, cells in zip(laws, rows):
-        valid = [(level, r2) for level, r2, _ in cells if r2 is not None]
-        avg = std = None
-        if valid:
-            avg, std = summarize_levels(valid)
-        table_rows.append({
-            "law_id": law.law_id,
-            "cells": [
-                {"level": str(level), "r2": r2, "error": err} for level, r2, err in cells
-            ],
-            "avg": avg,
-            "std": std,
-        })
-    return {
-        "levels": [str(level) for level in levels],
-        "grouped_by_level": bool(args.group_by_level),
-        "x_fit_mode": args.x_fit_mode,
-        "std_kind": STD_KIND,
-        "rows": table_rows,
-    }
-
-
-def _comparison_text(table: dict) -> str:
-    levels = table["levels"]
-    headers = levels + ["Avg ± Std"]
-    best = []
-    for idx in range(len(levels)):
-        scores = [row["cells"][idx]["r2"] for row in table["rows"]
-                  if row["cells"][idx]["r2"] is not None]
-        best.append(max(scores) if scores else None)
-    name_width = max([len("Law")] + [len(r["law_id"]) for r in table["rows"]])
-    col_width = max([12] + [len(h) + 2 for h in headers])
-    lines = ["Law".ljust(name_width) + "".join(h.rjust(col_width) for h in headers)]
-    for row in table["rows"]:
-        rendered = []
-        for idx, cell in enumerate(row["cells"]):
-            if cell["r2"] is None:
-                rendered.append("n/a".rjust(col_width))
-            else:
-                mark = "*" if best[idx] is not None and cell["r2"] == best[idx] else " "
-                rendered.append(f"{cell['r2']:.4f}{mark}".rjust(col_width))
-        if row["avg"] is None:
-            rendered.append("n/a".rjust(col_width))
-        else:
-            rendered.append(f"{row['avg']:.4f} ± {row['std']:.2f}".rjust(col_width))
-        lines.append(row["law_id"].ljust(name_width) + "".join(rendered))
-    return "\n".join(lines)
+def _emit_table(args: argparse.Namespace, key: str, table, failure: str) -> int:
+    """Write a table to --out and stdout; one without any score is a numeric error."""
+    if table.all_failed():
+        raise FitError(failure)
+    if args.out:
+        _dump_json({key: table.to_dict(), "manifest": _manifest(args, [args.data])}, args.out)
+    print(table.to_text())
+    return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     laws = _parse_law_list(args.laws)
     _require_x_orientation(args, laws)
-    data = _load_data(args)
-    levels, rows = _comparison_rows(data, laws, args)
-    if all(r2 is None for cells in rows for _, r2, _ in cells):
-        raise FitError("every comparison cell failed")
-    table = _comparison_dict(levels, laws, rows, args)
-    payload = {"comparison": table, "manifest": _manifest(args, [args.data])}
-    if args.out:
-        _dump_json(payload, args.out)
-    print(_comparison_text(table))
-    return EXIT_OK
+    table = compare_laws(
+        _load_data(args), laws, _fit_config(args),
+        group_by_level=args.group_by_level,
+        fit_mode=None if args.x_fit_mode == "joint" else args.x_fit_mode,
+    )
+    return _emit_table(args, "comparison", table, "every comparison cell failed")
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -297,19 +216,12 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
     laws = _parse_law_list(args.laws)
     _require_x_orientation(args, laws)
     data = _load_data(args)
-    specs = _build_split_specs(args)
-    for spec in specs:  # unsatisfiable splits are usage errors, not cell errors
-        make_split(data, spec, joint_full_test=args.joint_full_test)
     sweep = progressive_sweep(
-        data, laws, specs, _fit_config(args),
+        data, laws, _build_split_specs(args), _fit_config(args),
         fit_mode=args.fit_mode,
         joint_full_test=args.joint_full_test,
     )
-    payload = {"sweep": sweep.to_dict(), "manifest": _manifest(args, [args.data])}
-    if args.out:
-        _dump_json(payload, args.out)
-    print(sweep.to_text())
-    return EXIT_OK
+    return _emit_table(args, "sweep", sweep, "every extrapolation cell failed")
 
 
 def _load_fit_payload(path: str) -> dict:

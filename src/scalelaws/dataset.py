@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
@@ -48,7 +48,7 @@ class Normalization:
             raise DataValidationError(f"d_scale must be a positive real, got {self.d_scale}")
 
     def to_dict(self) -> dict:
-        return {"n_scale": self.n_scale, "d_scale": self.d_scale}
+        return asdict(self)
 
 
 IDENTITY_NORMALIZATION = Normalization(1.0, 1.0)
@@ -295,27 +295,27 @@ class ObservationSet:
     def d_norm(self) -> np.ndarray:
         return self._d / self.normalization.d_scale
 
-    def level_of(self, obs: Observation):
-        level = obs.x_level if self.level_key == "x_level" else obs.source_tag
-        if level is None:
-            raise DataValidationError(
-                f"observation {obs.key()} has no {self.level_key}; cannot resolve its level"
-            )
-        return level
+    def missing_levels(self) -> np.ndarray:
+        """Boolean mask of the rows that have no value under the level key."""
+        if self.level_key == "x_level":
+            return np.isnan(self._x)
+        return np.array([t is None for t in self._tags], dtype=bool)[self._tag]
 
     def _level_codes(self) -> tuple[np.ndarray, list]:
         """Dense level code per row and the level each code stands for."""
+        missing = self.missing_levels()
+        if missing.any():
+            obs = self.observations[int(np.argmax(missing))]
+            raise DataValidationError(
+                f"observation {obs.key()} has no {self.level_key}; cannot resolve its level"
+            )
         if self.level_key == "x_level":
-            missing = np.isnan(self._x)
             first, codes = np.unique(self._x, return_index=True, return_inverse=True)[1:]
             # the first row's value names the level, so -0.0 and 0.0 meet under one
             levels = self._x[first].tolist()
         else:
-            missing = np.array([t is None for t in self._tags], dtype=bool)[self._tag]
             present, codes = np.unique(self._tag, return_inverse=True)
             levels = [self._tags[t] for t in present.tolist()]
-        if missing.any():
-            self.level_of(self.observations[int(np.argmax(missing))])  # raises
         return codes.ravel(), levels
 
 

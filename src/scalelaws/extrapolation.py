@@ -1,4 +1,10 @@
-"""Held-out prediction protocols with pooled R-squared scoring.
+"""Level fitting, held-out prediction protocols and pooled R-squared.
+
+`fit_levels` is the one place that decides whether a law is fitted to
+each perturbation level on its own or once across levels with X as a
+covariate. `compare_laws` scores its fits in sample, level by level;
+`run_extrapolation` and `progressive_sweep` score them on the held-out
+side of a split.
 
 Three split modes over (model, checkpoint, level) data:
 
@@ -13,27 +19,23 @@ Three split modes over (model, checkpoint, level) data:
 
 Scores concatenate held-out predictions across all perturbation levels
 into one flat array before computing R-squared (pooled scoring), which
-penalizes per-level offsets that per-level averaging would hide.
+penalizes per-level offsets that per-level averaging would hide. A set
+in which no row has a level is one level, "all".
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dataset import ObservationSet, distinct_axis_values, group_by_level
-from .errors import (
-    DataValidationError,
-    ScaleLawsError,
-    SplitError,
-    UndefinedVarianceError,
-)
+from .errors import DataValidationError, ScaleLawsError, SplitError
 from .fitter import FitConfig, FitResult, fit
 from .laws import LawSpec, apply_orientation, predict_dataset
-from .metrics import EvalPairs, pooled_r_squared, r_squared
+from .metrics import STD_KIND, EvalPairs, pooled_r_squared, r_squared, summarize_levels
 
 SPLIT_MODES = ("token", "model", "joint")
 FIT_MODES = ("per_level", "joint_x")
@@ -75,7 +77,7 @@ class SplitSpec:
         return f"k={self.k},j={self.j}"
 
     def to_dict(self) -> dict:
-        return {"mode": self.mode, "j": self.j, "k": self.k}
+        return asdict(self)
 
 
 def _first_j_tokens(oset: ObservationSet, j: int, rows: np.ndarray) -> np.ndarray:
@@ -154,6 +156,157 @@ def make_split(
     return oset.subset(in_train), test
 
 
+def _level_groups(oset: ObservationSet, by_level: bool) -> list[tuple[object, ObservationSet]]:
+    return group_by_level(oset) if by_level else [("all", oset)]
+
+
+def _default_fit_mode(law: LawSpec, fit_mode: str | None) -> str:
+    return fit_mode or ("joint_x" if law.needs_x else "per_level")
+
+
+def _try_fit(law: LawSpec, data: ObservationSet, config: FitConfig) -> FitResult | ScaleLawsError:
+    try:
+        return fit(law, data, config)
+    except ScaleLawsError as exc:
+        return exc
+
+
+def fit_levels(
+    law: LawSpec,
+    train: ObservationSet,
+    config: FitConfig = FitConfig(),
+    fit_mode: str | None = None,
+    groups: Sequence[tuple[object, ObservationSet]] | None = None,
+    predicts: Sequence[object] = (),
+) -> tuple[str, list[tuple[object, FitResult | ScaleLawsError]]]:
+    """Fit `law` to a training set per level ("per_level") or once across
+    levels with X as a covariate ("joint_x", X-aware laws only); None
+    picks joint_x for X-aware laws and per_level otherwise.
+
+    `groups` are the level groups of `train`, computed when omitted (a
+    set in which no row has a level is one level, "all"). Returns the
+    resolved mode and one (level, fit) entry per group: the FitResult
+    that predicts the level, or the ScaleLawsError its fitting raised,
+    which does not stop the other fits. Under joint_x every entry holds
+    the one joint fit, which also predicts levels absent from training.
+
+    Raises:
+        DataValidationError: an unknown mode, or joint_x without X.
+        SplitError: per_level and a level of `predicts` has no group;
+            raised before any fit.
+    """
+    law = apply_orientation(law, config.x_orientation)
+    fit_mode = _default_fit_mode(law, fit_mode)
+    if fit_mode not in FIT_MODES:
+        raise DataValidationError(f"fit_mode must be one of {FIT_MODES}, got {fit_mode!r}")
+    if fit_mode == "joint_x" and not law.needs_x:
+        raise DataValidationError(f"fit_mode joint_x requires an X-aware law, not {law.law_id}")
+    if groups is None:
+        groups = _level_groups(train, not train.missing_levels().all())
+    if fit_mode == "joint_x":
+        joint = _try_fit(law, train, config)
+        return fit_mode, [(level, joint) for level, _ in groups]
+    trained = {level for level, _ in groups}
+    for level in predicts:
+        if level not in trained:
+            raise SplitError(f"level {level!r} has test observations but no training observations")
+    return fit_mode, [(level, _try_fit(law, group, config)) for level, group in groups]
+
+
+def _predict(law: LawSpec, result: FitResult | ScaleLawsError, group: ObservationSet):
+    if isinstance(result, ScaleLawsError):
+        raise result
+    return predict_dataset(law, result.params, group)
+
+
+def _score(pairs: Callable[[], EvalPairs]) -> tuple[float | None, str | None]:
+    """R-squared of the pairs `pairs()` builds, or None and the reason
+    there is none: a failed fit or prediction, or an undefined R-squared."""
+    try:
+        return r_squared(pairs()), None
+    except ScaleLawsError as exc:
+        return None, str(exc)
+
+
+def _starred_table(corner: str, min_width: int, headers: Sequence[str], rows) -> str:
+    """Aligned text table. Each row is (name, scores, tail): scores fill
+    the first columns to four decimals, "n/a" for None, the best in each
+    column starred; tail cells are text for the remaining columns."""
+    best = [max((s for s in column if s is not None), default=None)
+            for column in zip(*(scores for _, scores, _ in rows))]
+    name_width = max([len(corner)] + [len(name) for name, _, _ in rows])
+    width = max([min_width] + [len(h) + 2 for h in headers])
+    lines = [corner.ljust(name_width) + "".join(h.rjust(width) for h in headers)]
+    for name, scores, tail in rows:
+        cells = ["n/a" if s is None else f"{s:.4f}{'*' if s == top else ' '}"
+                 for s, top in zip(scores, best)]
+        lines.append(name.ljust(name_width) + "".join(c.rjust(width) for c in [*cells, *tail]))
+    return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class ComparisonTable:
+    """Laws x levels table of in-sample R-squared (see `compare_laws`).
+
+    Each row is (law_id, cells, avg, std). A cell is (r2, error); r2 is
+    None, and error says why, when the level's fit failed, its
+    prediction left the law's domain or its R-squared is undefined. avg
+    and std (population) summarise the row's scores, None if none.
+    """
+
+    levels: tuple[str, ...]
+    grouped_by_level: bool
+    fit_mode: str | None
+    rows: tuple[tuple[str, tuple[tuple[float | None, str | None], ...], float | None,
+                      float | None], ...]
+
+    def all_failed(self) -> bool:
+        return all(r2 is None for _, cells, _, _ in self.rows for r2, _ in cells)
+
+    def to_dict(self) -> dict:
+        rows = [{"law_id": law_id, "avg": avg, "std": std,
+                 "cells": [{"level": level, "r2": r2, "error": error}
+                           for level, (r2, error) in zip(self.levels, cells)]}
+                for law_id, cells, avg, std in self.rows]
+        return {"levels": list(self.levels), "grouped_by_level": self.grouped_by_level,
+                "x_fit_mode": self.fit_mode or "joint",  # the compare CLI's name for None
+                "std_kind": STD_KIND, "rows": rows}
+
+    def to_text(self) -> str:
+        """Aligned table with an Avg ± Std column; the best cell in each
+        level column is starred."""
+        return _starred_table("Law", 12, [*self.levels, "Avg ± Std"], [
+            (law_id, [r2 for r2, _ in cells],
+             ["n/a" if avg is None else f"{avg:.4f} ± {std:.2f}"])
+            for law_id, cells, avg, std in self.rows])
+
+
+def compare_laws(
+    data: ObservationSet,
+    laws: Sequence[LawSpec],
+    config: FitConfig = FitConfig(),
+    group_by_level: bool = False,
+    fit_mode: str | None = None,
+) -> ComparisonTable:
+    """In-sample R-squared of each law at each level of `data` (with
+    `group_by_level`, where every row needs a level) or on the whole set
+    as one level, "all". Each law is fitted by `fit_levels` with
+    `fit_mode`; fit and scoring failures are recorded per cell.
+    """
+    groups = _level_groups(data, group_by_level)
+    rows = []
+    for law in laws:
+        _, entries = fit_levels(law, data, config, fit_mode, groups)
+        oriented = apply_orientation(law, config.x_orientation)
+        cells = tuple(
+            _score(lambda: EvalPairs.of(_predict(oriented, result, group), group.losses()))
+            for (_, group), (_, result) in zip(groups, entries))
+        scores = [(level, r2) for (level, _), (r2, _) in zip(groups, cells) if r2 is not None]
+        rows.append((law.law_id, cells, *(summarize_levels(scores) if scores else (None, None))))
+    return ComparisonTable(tuple(str(level) for level, _ in groups), bool(group_by_level),
+                           fit_mode, tuple(rows))
+
+
 @dataclass(frozen=True)
 class ExtrapReport:
     """Outcome of one extrapolation run.
@@ -191,6 +344,44 @@ class ExtrapReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
+def _split(oset: ObservationSet, spec: SplitSpec, joint_full_test: bool) -> tuple:
+    """(spec, train, test, excluded count, train groups, test groups)."""
+    train, test = make_split(oset, spec, joint_full_test=joint_full_test)
+    by_level = not oset.missing_levels().all()
+    test_groups = _level_groups(test, by_level)
+    return (spec, train, test, len(oset) - len(train) - len(test),
+            _level_groups(train, by_level), test_groups)
+
+
+def _extrapolate(law: LawSpec, split: tuple, config: FitConfig, fit_mode: str | None):
+    spec, train, test, excluded, train_groups, test_groups = split
+    fit_mode, entries = fit_levels(law, train, config, fit_mode, train_groups,
+                                   predicts=[level for level, _ in test_groups])
+    fits = tuple({id(result): result for _, result in entries}.values())
+    for result in fits:
+        if isinstance(result, ScaleLawsError):
+            raise result
+    # a level absent from training passes the check above only under
+    # joint_x, where every entry holds the one joint fit
+    fit_of = dict(entries)
+    law = apply_orientation(law, config.x_orientation)
+    pairs = [EvalPairs.of(_predict(law, fit_of.get(level, fits[0]), group), group.losses(),
+                          group_label=str(level))
+             for level, group in test_groups]
+    return ExtrapReport(
+        law_id=law.law_id,
+        split=spec,
+        fit_mode=fit_mode,
+        per_level_fit=fits,
+        pooled_r2=pooled_r_squared(pairs),
+        per_level_r2=tuple((level, _score(lambda: p)[0])
+                           for (level, _), p in zip(test_groups, pairs)),
+        train_count=len(train),
+        test_count=len(test),
+        excluded_count=excluded,
+    )
+
+
 def run_extrapolation(
     oset: ObservationSet,
     law: LawSpec,
@@ -206,75 +397,17 @@ def run_extrapolation(
         law: Law to fit (config.x_orientation may override orientation).
         spec: Split specification.
         config: Fit configuration, shared by all (per-level) fits.
-        fit_mode: "per_level" fits each level group separately;
-            "joint_x" fits once across levels with X as a covariate
-            (X laws only). Defaults to joint_x for X laws, per_level
-            otherwise.
+        fit_mode: As for `fit_levels`: "per_level", "joint_x", or None
+            for the law's default.
         joint_full_test: Joint mode only; test on every held-out-model
             observation instead of only those beyond the token horizon.
 
     Returns:
-        ExtrapReport with pooled and per-level scores. Prediction
-        failures on any test observation propagate, failing the run.
+        ExtrapReport with pooled and per-level scores. A failed fit, and
+        prediction failures on any test observation, propagate, failing
+        the run.
     """
-    oriented = apply_orientation(law, config.x_orientation)
-    if fit_mode is None:
-        fit_mode = "joint_x" if oriented.needs_x else "per_level"
-    if fit_mode not in FIT_MODES:
-        raise DataValidationError(f"fit_mode must be one of {FIT_MODES}, got {fit_mode!r}")
-    if fit_mode == "joint_x" and not oriented.needs_x:
-        raise DataValidationError(f"fit_mode joint_x requires an X-aware law, not {law.law_id}")
-
-    train, test = make_split(oset, spec, joint_full_test=joint_full_test)
-    excluded = len(oset) - len(train) - len(test)
-
-    test_groups = group_by_level(test)
-    fits: list[FitResult] = []
-    pairs: list[EvalPairs] = []
-
-    if fit_mode == "joint_x":
-        result = fit(oriented, train, config)
-        fits.append(result)
-        for level, group in test_groups:
-            pred = predict_dataset(oriented, result.params, group)
-            pairs.append(EvalPairs.of(pred, group.losses(), group_label=str(level)))
-    else:
-        train_groups = group_by_level(train)
-        train_levels = {level for level, _ in train_groups}
-        for level, _ in test_groups:
-            if level not in train_levels:
-                raise SplitError(
-                    f"level {level!r} has test observations but no training observations"
-                )
-        fit_by_level = {}
-        for level, group in train_groups:
-            result = fit(oriented, group, config)
-            fits.append(result)
-            fit_by_level[level] = result
-        for level, group in test_groups:
-            result = fit_by_level[level]
-            pred = predict_dataset(oriented, result.params, group)
-            pairs.append(EvalPairs.of(pred, group.losses(), group_label=str(level)))
-
-    pooled = pooled_r_squared(pairs)
-    per_level: list[tuple[object, float | None]] = []
-    for (level, _), p in zip(test_groups, pairs):
-        try:
-            per_level.append((level, r_squared(p)))
-        except (UndefinedVarianceError, DataValidationError):
-            per_level.append((level, None))
-
-    return ExtrapReport(
-        law_id=law.law_id,
-        split=spec,
-        fit_mode=fit_mode,
-        per_level_fit=tuple(fits),
-        pooled_r2=pooled,
-        per_level_r2=tuple(per_level),
-        train_count=len(train),
-        test_count=len(test),
-        excluded_count=excluded,
-    )
+    return _extrapolate(law, _split(oset, spec, joint_full_test), config, fit_mode)
 
 
 @dataclass(frozen=True)
@@ -283,7 +416,7 @@ class SweepCell:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {"pooled_r2": self.pooled_r2, "error": self.error}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -294,6 +427,9 @@ class SweepTable:
     specs: tuple[SplitSpec, ...]
     fit_modes: tuple[str, ...]
     cells: tuple[tuple[SweepCell, ...], ...]
+
+    def all_failed(self) -> bool:
+        return all(cell.pooled_r2 is None for row in self.cells for cell in row)
 
     def to_dict(self) -> dict:
         return {
@@ -313,26 +449,10 @@ class SweepTable:
 
     def to_text(self) -> str:
         """Aligned table; the best cell in each column is starred."""
-        headers = [s.label() for s in self.specs]
-        best = []
-        for col in range(len(self.specs)):
-            scores = [
-                row[col].pooled_r2 for row in self.cells if row[col].pooled_r2 is not None
-            ]
-            best.append(max(scores) if scores else None)
-        name_width = max([len("Method")] + [len(l) for l in self.law_ids])
-        col_width = max([10] + [len(h) + 2 for h in headers])
-        lines = ["Method".ljust(name_width) + "".join(h.rjust(col_width) for h in headers)]
-        for law_id, row in zip(self.law_ids, self.cells):
-            rendered = []
-            for col, cell in enumerate(row):
-                if cell.pooled_r2 is None:
-                    rendered.append("n/a".rjust(col_width))
-                else:
-                    mark = "*" if best[col] is not None and cell.pooled_r2 == best[col] else " "
-                    rendered.append(f"{cell.pooled_r2:.4f}{mark}".rjust(col_width))
-            lines.append(law_id.ljust(name_width) + "".join(rendered))
-        return "\n".join(lines)
+        return _starred_table("Method", 10, [s.label() for s in self.specs], [
+            (law_id, [cell.pooled_r2 for cell in row], [])
+            for law_id, row in zip(self.law_ids, self.cells)
+        ])
 
 
 def progressive_sweep(
@@ -345,26 +465,24 @@ def progressive_sweep(
 ) -> SweepTable:
     """Full cross-product of laws and splits; per-cell failures recorded.
 
-    Cell order is deterministic: laws in the given order (rows), specs
-    in the given order (columns).
+    Each spec is split, and both sides grouped by level, once before any
+    fit; every law reuses the split. Cell order is deterministic: laws
+    in the given order (rows), specs in the given order (columns).
+
+    Raises:
+        SplitError: a spec is unsatisfiable (the first such in order).
+        DataValidationError: only some rows of `oset` have a level.
     """
+    splits = [_split(oset, spec, joint_full_test) for spec in specs]
     rows = []
-    modes = []
     for law in laws:
         row = []
-        modes.append(fit_mode or ("joint_x" if law.needs_x else "per_level"))
-        for spec in specs:
+        for split in splits:
             try:
-                report = run_extrapolation(
-                    oset, law, spec, config, fit_mode=fit_mode, joint_full_test=joint_full_test
-                )
+                report = _extrapolate(law, split, config, fit_mode)
                 row.append(SweepCell(pooled_r2=report.pooled_r2))
             except ScaleLawsError as exc:
                 row.append(SweepCell(pooled_r2=None, error=str(exc)))
         rows.append(tuple(row))
-    return SweepTable(
-        law_ids=tuple(law.law_id for law in laws),
-        specs=tuple(specs),
-        fit_modes=tuple(modes),
-        cells=tuple(rows),
-    )
+    return SweepTable(tuple(law.law_id for law in laws), tuple(specs),
+                      tuple(_default_fit_mode(law, fit_mode) for law in laws), tuple(rows))

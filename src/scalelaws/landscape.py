@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,14 +64,6 @@ class GridSpec:
     def d_axis(self) -> np.ndarray:
         return _axis(self.d_min, self.d_max, self.d_steps, self.spacing)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_min": self.n_min, "n_max": self.n_max,
-            "d_min": self.d_min, "d_max": self.d_max,
-            "n_steps": self.n_steps, "d_steps": self.d_steps,
-            "spacing": self.spacing,
-        }
-
 
 def _axis(lo: float, hi: float, steps: int, spacing: str) -> np.ndarray:
     if spacing == "log":
@@ -97,9 +88,6 @@ class LossGrid:
     d_values: np.ndarray
     values: np.ndarray
     error_mask: np.ndarray
-
-    def value_at(self, i: int, j: int) -> float | None:
-        return None if self.error_mask[i, j] else float(self.values[i, j])
 
     def n_evaluable(self) -> int:
         return int((~self.error_mask).sum())
@@ -193,9 +181,6 @@ class BasinReport:
             "monotonic_d": self.monotonic_d,
             "partial_slices": self.partial_slices,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 def _longest_run(valid: np.ndarray) -> tuple[int, int]:
@@ -413,17 +398,7 @@ class ExponentReport:
     d_axis_verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "delta": self.delta,
-            "n_axis_verdict": self.n_axis_verdict,
-            "d_axis_verdict": self.d_axis_verdict,
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return asdict(self)
 
 
 def exponent_report(fit: FitResult) -> ExponentReport:

@@ -38,7 +38,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
 
@@ -112,15 +112,7 @@ class PerturbReport:
     power_mode: str = "global"
 
     def to_dict(self) -> dict:
-        return {
-            "target_snr_db": self.target_snr_db,
-            "signal_power": self.signal_power,
-            "sigma2": self.sigma2,
-            "empirical_snr_db": self.empirical_snr_db,
-            "seed": self.seed,
-            "count": self.count,
-            "power_mode": self.power_mode,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -232,11 +224,16 @@ def _inject(
 
         def leaf(m: int) -> np.float64:
             noise = rng.standard_normal(m) * scale
-            values = read(m).astype(np.float64, copy=False) + noise
-            write(values.astype(dtype, copy=False))
+            values = (read(m).astype(np.float64, copy=False) + noise).astype(dtype, copy=False)
+            if not np.isfinite(values).all():
+                raise DataValidationError(f"snr_db {snr_db} overflows the {dtype.name} weights")
+            write(values)
             return np.add.reduce(np.square(noise))
 
-        p_noise = float(_pairwise(length, leaf) / length)
+        with np.errstate(over="ignore"):  # overflows are rejected as non-finite values
+            p_noise = float(_pairwise(length, leaf) / length)
+        if not 0.0 < p_noise < math.inf:
+            raise DataValidationError(f"snr_db {snr_db} gives a noise power of {p_noise}")
         reports.append(
             PerturbReport(
                 target_snr_db=float(snr_db),
@@ -298,12 +295,19 @@ def signal_power(w: WeightVector) -> float:
 
 
 def noise_sigma2(p_w: float, snr_db: float) -> float:
-    """Noise variance hitting the target SNR for a given signal power."""
+    """Noise variance hitting the target SNR for a given signal power; an
+    snr_db putting 10^(snr_db/10) or the variance out of range is rejected."""
     if not (math.isfinite(p_w) and p_w >= 0):
         raise DataValidationError(f"signal power must be a non-negative real, got {p_w}")
     if not math.isfinite(snr_db):
         raise DataValidationError(f"snr_db must be finite, got {snr_db}")
-    return p_w / 10.0 ** (snr_db / 10.0)
+    try:
+        sigma2 = p_w / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):  # 10^(snr_db/10) overflows or underflows to 0
+        sigma2 = math.nan
+    if not math.isfinite(sigma2):
+        raise DataValidationError(f"snr_db {snr_db} puts the noise variance out of range")
+    return sigma2
 
 
 def inject(

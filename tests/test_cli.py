@@ -558,3 +558,21 @@ class TestPeakRss:
         for command in ("perturb", "measure"):
             growth = peaks[command, 8_000_000] - peaks[command, 2_000_000]
             assert abs(growth) < self.SLOPE_MB, (command, peaks)
+
+
+class TestExtremeSnr:
+    """SNRs whose noise leaves the float range are one validation error."""
+
+    @pytest.mark.parametrize("snr_db", ["4000", "-4000", "-3100", "-3000"])
+    def test_rejected_without_output(self, tmp_path, capsys, snr_db):
+        src = tmp_path / "w.wvec"
+        values = np.random.default_rng(12).normal(0, 0.02, 1000).astype(np.float32)
+        sl.write_wvec(src, sl.WeightVector(values))
+        out = tmp_path / "out.wvec"
+        code = main(["perturb", "--in", str(src), f"--snr-db={snr_db}", "--seed", "1",
+                     "--out", str(out), "--no-timestamp"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error[validation]: snr_db ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.wvec"]

@@ -1,0 +1,181 @@
+"""The one level-fitting engine behind compare and extrapolate."""
+
+import ast
+import csv
+import json
+from pathlib import Path
+
+import pytest
+
+import scalelaws as sl
+import scalelaws.cli
+import scalelaws.extrapolation as extrapolation
+from scalelaws.cli import main
+from scalelaws.fitter import FitConfig
+
+from synth import MODEL_SIZES, TOKEN_COUNTS, shannon_level_set
+
+UNDEFINED_R2 = "all observed values are identical; R-squared is undefined"
+CONFIG = FitConfig(starts=2, random_starts=0, seed=0, max_iters=60,
+                   objective_space="log_loss", x_orientation="mitigating")
+CONFIG_FLAGS = ["--starts", "2", "--max-iters", "60", "--objective", "log_loss",
+                "--x-orientation", "mitigating", "--seed", "0", "--no-timestamp"]
+
+
+def write_csv(path, observations):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["model_id", "n_params", "d_tokens", "x_level", "loss"])
+        for o in observations:
+            writer.writerow([o.model_id, repr(o.n_params), repr(o.d_tokens),
+                             "" if o.x_level is None else repr(o.x_level), repr(o.loss)])
+    return str(path)
+
+
+def chinchilla_observations(x_level=None, constant_loss=None):
+    law = sl.get_law("chinchilla")
+    params = sl.ParamVector("chinchilla", (2.0, 3.0, 1.0, 0.5, 0.5))
+    return [
+        sl.Observation(f"m{i}", float(n), float(d),
+                       constant_loss or sl.predict_loss(law, params, n / 1e9, d / 1e9),
+                       x_level=x_level)
+        for i, n in enumerate(MODEL_SIZES) for d in TOKEN_COUNTS
+    ]
+
+
+def reference_cells(data, law_id, joint):
+    """Compare cells from public fit / predict_dataset / r_squared calls."""
+    law = sl.get_law(law_id)
+    oriented = sl.with_orientation(law, "mitigating") if law.needs_x else law
+    joint_fit = None
+    if joint and law.needs_x:
+        try:
+            joint_fit = sl.fit(law, data, CONFIG)
+        except sl.ScaleLawsError as exc:
+            joint_fit = exc
+    cells = []
+    for level, group in sl.group_by_level(data):
+        try:
+            result = joint_fit if joint_fit is not None else sl.fit(law, group, CONFIG)
+            if isinstance(result, sl.ScaleLawsError):
+                raise result
+            pred = sl.predict_dataset(oriented, result.params, group)
+            r2 = sl.r_squared(sl.EvalPairs.of(pred, group.losses()))
+            cells.append({"level": str(level), "r2": r2, "error": None})
+        except sl.ScaleLawsError as exc:
+            cells.append({"level": str(level), "r2": None, "error": str(exc)})
+    return cells
+
+
+class TestCompareCells:
+    @pytest.mark.parametrize("mode", ["joint", "per_level"])
+    def test_each_cell_equals_public_reference(self, tmp_path, capsys, mode):
+        data = shannon_level_set(levels=[40.0, 20.0, 10.0])
+        path = write_csv(tmp_path / "obs.csv", data)
+        out = tmp_path / "cmp.json"
+        laws = ["chinchilla", "shannon_extended", "qid"]
+        assert main(["compare", "--data", path, "--laws", ",".join(laws), "--group-by-level",
+                     "--x-fit-mode", mode, "--out", str(out), *CONFIG_FLAGS]) == 0
+        capsys.readouterr()
+        table = json.loads(out.read_text())["comparison"]
+        assert table["x_fit_mode"] == mode
+        loaded = sl.load_observations(path)
+        for law_id, row in zip(laws, table["rows"]):
+            assert row["law_id"] == law_id
+            assert row["cells"] == reference_cells(loaded, law_id, mode == "joint")
+
+    @pytest.mark.parametrize("mode", ["joint", "per_level"])
+    def test_constant_level_is_undefined_under_both_modes(self, tmp_path, capsys, mode):
+        observations = chinchilla_observations(10.0) + chinchilla_observations(20.0, 2.5)
+        path = write_csv(tmp_path / "const.csv", observations)
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--data", path, "--laws", "qid,chinchilla", "--group-by-level",
+                     "--x-fit-mode", mode, "--out", str(out), *CONFIG_FLAGS]) == 0
+        capsys.readouterr()
+        rows = json.loads(out.read_text())["comparison"]["rows"]
+        for row in rows:
+            assert row["cells"][0]["r2"] is not None
+            assert row["cells"][1] == {"level": "20.0", "r2": None, "error": UNDEFINED_R2}
+            assert row["avg"] == row["cells"][0]["r2"]
+
+    def test_ungrouped_cell_is_the_fit_r2(self):
+        data = shannon_level_set(levels=[40.0, 20.0])
+        table = sl.compare_laws(data, [sl.get_law("chinchilla")], CONFIG)
+        assert table.levels == ("all",)
+        assert table.to_dict()["x_fit_mode"] == "joint"
+        assert table.rows[0][1] == ((sl.fit(sl.get_law("chinchilla"), data, CONFIG).r2_train,
+                                     None),)
+
+
+class TestSplitOnce:
+    def test_extrapolate_splits_and_groups_each_spec_once(self, tmp_path, capsys, monkeypatch):
+        calls = {"make_split": 0, "group_by_level": 0}
+        for name in calls:
+            original = getattr(extrapolation, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(extrapolation, name, counted)
+        path = write_csv(tmp_path / "obs.csv", shannon_level_set(levels=[40.0, 20.0]))
+        assert main(["extrapolate", "--data", path, "--laws", "chinchilla,openai,qid",
+                     "--mode", "token", "--j", "6,8,10,12", "--starts", "1",
+                     "--max-iters", "30", "--x-orientation", "mitigating", "--seed", "0"]) == 0
+        capsys.readouterr()
+        assert calls == {"make_split": 4, "group_by_level": 8}
+
+    def test_unsatisfiable_spec_raises_before_any_fit(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(extrapolation, "fit", lambda *args: fits.append(args))
+        data = shannon_level_set(levels=[40.0])
+        specs = [sl.SplitSpec("token", j=8), sl.SplitSpec("token", j=17)]
+        with pytest.raises(sl.SplitError, match="unsatisfiable"):
+            sl.progressive_sweep(data, [sl.get_law("chinchilla")], specs, CONFIG)
+        assert fits == []
+
+    def test_cli_has_no_fit_loop(self):
+        tree = ast.parse(Path(scalelaws.cli.__file__).read_text(encoding="utf-8"))
+        banned = {"group_by_level", "predict_dataset", "r_squared", "summarize_levels"}
+        for function in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+            called = {node.func.id for node in ast.walk(function)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+            assert not called & banned, function.name
+            assert "fit" not in called or function.name == "cmd_fit", function.name
+
+
+class TestLevels:
+    def test_level_free_table_extrapolates_as_one_level(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "nolevel.csv", chinchilla_observations())
+        out = tmp_path / "sweep.json"
+        assert main(["extrapolate", "--data", path, "--laws", "chinchilla", "--mode", "token",
+                     "--j", "12", "--seed", "0", "--out", str(out), "--no-timestamp"]) == 0
+        capsys.readouterr()
+        cell = json.loads(out.read_text())["sweep"]["rows"][0]["cells"][0]
+        assert cell["error"] is None
+        assert cell["pooled_r2"] >= 1 - 1e-6
+
+    def test_level_free_report_names_level_all(self):
+        data = sl.ObservationSet(chinchilla_observations())
+        report = sl.run_extrapolation(data, sl.get_law("chinchilla"),
+                                      sl.SplitSpec("model", k=4), CONFIG)
+        assert [level for level, _ in report.per_level_r2] == ["all"]
+        assert len(report.per_level_fit) == 1
+
+    def test_partly_levelled_set_is_rejected(self):
+        data = sl.ObservationSet(chinchilla_observations()[:48]
+                                 + chinchilla_observations(10.0)[48:])
+        with pytest.raises(sl.DataValidationError, match="has no x_level"):
+            sl.progressive_sweep(data, [sl.get_law("chinchilla")],
+                                 [sl.SplitSpec("token", j=12)], CONFIG)
+
+    def test_every_cell_failed_exits_3(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "nox.csv", chinchilla_observations())
+        out = tmp_path / "sweep.json"
+        code = main(["extrapolate", "--data", path, "--laws", "qid", "--mode", "token",
+                     "--j", "12", "--out", str(out), *CONFIG_FLAGS])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "error[numeric]: every extrapolation cell failed\n"
+        assert captured.out == ""
+        assert not out.exists()

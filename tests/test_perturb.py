@@ -416,3 +416,35 @@ class TestWvecRejection:
         path = write_raw_wvec(tmp_path / "w.wvec", np.zeros(0))
         with pytest.raises(sl.DataValidationError, match="at least one element"):
             sl.read_wvec(path)
+
+
+class TestExtremeSnr:
+    """Noise that leaves the float range is rejected in memory and on file."""
+
+    @pytest.mark.parametrize("dtype,snr_db", [
+        (np.float32, 4000.0), (np.float32, -4000.0), (np.float32, -3100.0),
+        (np.float32, -3000.0), (np.float64, 4000.0), (np.float64, -3100.0),
+    ])
+    def test_rejected(self, tmp_path, dtype, snr_db):
+        w = vec(np.random.default_rng(13).normal(0, 0.02, 1000), dtype)
+        with pytest.raises(sl.DataValidationError, match=f"snr_db {snr_db}"):
+            sl.inject(w, snr_db, 1)
+        src, out = tmp_path / "w.wvec", tmp_path / "out.wvec"
+        sl.write_wvec(src, w)
+        with pytest.raises(sl.DataValidationError, match=f"snr_db {snr_db}"):
+            sl.perturb_wvec(src, out, snr_db, 1)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.wvec"]
+
+    def test_noise_sigma2_range(self):
+        for snr_db in (4000.0, -4000.0):
+            with pytest.raises(sl.DataValidationError, match="snr_db"):
+                sl.noise_sigma2(1.0, snr_db)
+        assert sl.noise_sigma2(1.0, -3000.0) == 1.0 / 10.0 ** -300.0
+
+    def test_noise_power_underflow(self):
+        with pytest.raises(sl.DataValidationError, match="noise power of 0.0"):
+            sl.inject(vec(np.full(10, 1e-160)), 100.0, 1)
+
+    def test_f64_keeps_low_snr_within_range(self):
+        _, report = sl.inject(vec(np.random.default_rng(13).normal(0, 0.02, 1000)), -3000.0, 1)
+        assert abs(report.empirical_snr_db + 3000.0) < 0.5
