@@ -25,6 +25,7 @@ from .errors import (
     FitError,
     LawDomainError,
     ScaleLawsError,
+    ScoreOverflowError,
     SplitError,
     UndefinedVarianceError,
 )
@@ -87,7 +88,7 @@ __all__ = [
     "load_observations", "group_by_level", "distinct_axis_values",
     # errors
     "ScaleLawsError", "DataValidationError", "LawDomainError",
-    "UndefinedVarianceError", "SplitError", "FitError",
+    "UndefinedVarianceError", "ScoreOverflowError", "SplitError", "FitError",
     # laws
     "LAW_IDS", "SHANNON_FAMILY", "LawSpec", "ParamVector",
     "law_registry", "get_law", "with_orientation",

@@ -28,6 +28,7 @@ from .errors import (
     DataValidationError,
     FitError,
     LawDomainError,
+    ScoreOverflowError,
     SplitError,
     UndefinedVarianceError,
 )
@@ -51,7 +52,8 @@ EXIT_NUMERIC = 3
 SEED_ENV_VAR = "SCALELAWS_SEED"
 
 _VALIDATION_ERRORS = (DataValidationError, SplitError, OSError)
-_NUMERIC_ERRORS = (LawDomainError, FitError, UndefinedVarianceError)
+_NUMERIC_ERRORS = (LawDomainError, FitError, UndefinedVarianceError,
+                   ScoreOverflowError)
 
 
 def _sha256(path: str | Path) -> str:

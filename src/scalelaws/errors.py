@@ -24,6 +24,11 @@ class UndefinedVarianceError(ScaleLawsError):
     """R-squared requested on observations with zero variance."""
 
 
+class ScoreOverflowError(ScaleLawsError):
+    """R-squared requested on values whose sums of squares, or their
+    ratio, overflow the float range (a residual near 1e154 or beyond)."""
+
+
 class SplitError(ScaleLawsError):
     """A train/test split specification is unsatisfiable for the data."""
 

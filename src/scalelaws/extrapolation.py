@@ -231,16 +231,20 @@ def _score(pairs: Callable[[], EvalPairs]) -> tuple[float | None, str | None]:
 def _starred_table(corner: str, min_width: int, headers: Sequence[str], rows) -> str:
     """Aligned text table. Each row is (name, scores, tail): scores fill
     the first columns to four decimals, "n/a" for None, the best in each
-    column starred; tail cells are text for the remaining columns."""
+    column starred; tail cells are text for the remaining columns.
+    Columns are right-aligned, each at least `min_width` wide, two more
+    than its header and one more than its longest cell."""
     best = [max((s for s in column if s is not None), default=None)
             for column in zip(*(scores for _, scores, _ in rows))]
-    name_width = max([len(corner)] + [len(name) for name, _, _ in rows])
-    width = max([min_width] + [len(h) + 2 for h in headers])
-    lines = [corner.ljust(name_width) + "".join(h.rjust(width) for h in headers)]
-    for name, scores, tail in rows:
-        cells = ["n/a" if s is None else f"{s:.4f}{'*' if s == top else ' '}"
-                 for s, top in zip(scores, best)]
-        lines.append(name.ljust(name_width) + "".join(c.rjust(width) for c in [*cells, *tail]))
+    body = [(name, ["n/a" if s is None else f"{s:.4f}{'*' if s == top else ' '}"
+                    for s, top in zip(scores, best)] + list(tail))
+            for name, scores, tail in rows]
+    name_width = max([len(corner)] + [len(name) for name, _ in body])
+    widths = [max([min_width, len(h) + 2] + [len(cells[k]) + 1 for _, cells in body])
+              for k, h in enumerate(headers)]
+    lines = [corner.ljust(name_width) + "".join(h.rjust(w) for h, w in zip(headers, widths))]
+    for name, cells in body:
+        lines.append(name.ljust(name_width) + "".join(c.rjust(w) for c, w in zip(cells, widths)))
     return "\n".join(lines)
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import Normalization, ObservationSet
-from .errors import DataValidationError, FitError, UndefinedVarianceError
+from .errors import DataValidationError, FitError, ScoreOverflowError, UndefinedVarianceError
 from .laws import (
     LawSpec,
     ParamVector,
@@ -110,7 +110,8 @@ class FitResult:
     """A converged (or best-effort) fit with full provenance.
 
     `r2_train` is computed on raw losses regardless of the objective
-    space; it is None when the training losses have zero variance.
+    space; it is None when the training losses have zero variance or
+    its sums of squares overflow.
     """
 
     law_id: str
@@ -417,7 +418,7 @@ def fit(law: LawSpec, data: ObservationSet, config: FitConfig = FitConfig()) -> 
     predictions = predict_dataset(law, params, data)
     try:
         r2_train = r_squared(EvalPairs.of(predictions, data.losses()))
-    except (UndefinedVarianceError, DataValidationError):
+    except (UndefinedVarianceError, ScoreOverflowError, DataValidationError):
         r2_train = None
     return FitResult(
         law_id=law.law_id,

@@ -11,7 +11,6 @@ cell with a golden-section search.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import asdict, dataclass
@@ -93,18 +92,26 @@ class LossGrid:
         return int((~self.error_mask).sum())
 
     def to_csv(self, destination) -> None:
-        """Write n,d,loss rows (row-major over N then D); error cells
-        emit an empty loss field."""
+        """Write the grid as CSV to a path or a text stream.
+
+        The first line is the header `n,d,loss`; then one line per cell,
+        row-major (N outer, D inner). Each field is the shortest
+        round-trip `repr` of the float, and an error cell's loss field
+        is empty. Lines end in CRLF (`\\r\\n`), as `csv.writer` writes
+        them; no field is ever quoted. Text is built and written one N
+        row at a time, so working memory is O(d_steps).
+        """
         if isinstance(destination, (str, Path)):
             with open(destination, "w", newline="", encoding="utf-8") as fh:
                 self.to_csv(fh)
             return
-        writer = csv.writer(destination)
-        writer.writerow(["n", "d", "loss"])
-        for i, n in enumerate(self.n_values):
-            for j, d in enumerate(self.d_values):
-                loss = "" if self.error_mask[i, j] else repr(float(self.values[i, j]))
-                writer.writerow([repr(float(n)), repr(float(d)), loss])
+        d_fields = [repr(d) for d in self.d_values.tolist()]
+        destination.write("n,d,loss\r\n")
+        for n, row, errors in zip(self.n_values.tolist(), self.values, self.error_mask):
+            prefix = repr(n)
+            losses = ["" if bad else repr(v) for v, bad in zip(row.tolist(), errors.tolist())]
+            destination.write("".join(
+                [f"{prefix},{d},{loss}\r\n" for d, loss in zip(d_fields, losses)]))
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()

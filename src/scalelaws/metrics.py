@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataValidationError, UndefinedVarianceError
+from .errors import DataValidationError, ScoreOverflowError, UndefinedVarianceError
 
 #: How the "avg ± std" summaries are computed; recorded in report metadata.
 STD_KIND = "population"
@@ -58,19 +58,41 @@ def r_squared(pairs: EvalPairs) -> float:
     Raises:
         DataValidationError: fewer than two pairs.
         UndefinedVarianceError: all observed values identical (SS_tot = 0).
+        ScoreOverflowError: a sum, a square or SS_res/SS_tot leaves the
+            float range.
     """
     if len(pairs) < 2:
         raise DataValidationError("r_squared requires at least two pairs")
     obs = pairs.observed.tolist()  # Python floats: the same squares as a scalar loop
     pred = pairs.predicted.tolist()
-    mean_obs = math.fsum(obs) / len(obs)
-    ss_tot = math.fsum((o - mean_obs) ** 2 for o in obs)
+    mean_obs = _finite_fsum(obs, "the sum of observed values") / len(obs)
+    ss_tot = _finite_fsum(((o - mean_obs) ** 2 for o in obs), "the total sum of squares")
     if ss_tot == 0.0:
         raise UndefinedVarianceError(
             "all observed values are identical; R-squared is undefined"
         )
-    ss_res = math.fsum((p - o) ** 2 for p, o in zip(pred, obs))
-    return 1.0 - ss_res / ss_tot
+    ss_res = _finite_fsum(((p - o) ** 2 for p, o in zip(pred, obs)),
+                          "the residual sum of squares")
+    ratio = ss_res / ss_tot
+    if ratio == math.inf:
+        raise ScoreOverflowError(
+            "the residual to total sum-of-squares ratio overflows the float range; "
+            "R-squared is undefined"
+        )
+    return 1.0 - ratio
+
+
+def _finite_fsum(terms: Iterable[float], what: str) -> float:
+    """`math.fsum` of Python floats; a term or total that leaves the
+    float range (`**` and `fsum` raise OverflowError, `-` gives inf)
+    raises ScoreOverflowError naming `what`."""
+    try:
+        total = math.fsum(terms)
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise ScoreOverflowError(f"{what} overflows the float range; R-squared is undefined")
+    return total
 
 
 def pooled_r_squared(groups: Sequence[EvalPairs]) -> float:

@@ -477,10 +477,12 @@ def read_wvec(path: str | Path) -> WeightVector:
 
 
 def write_weights_text(path: str | Path, w: WeightVector) -> None:
-    """One value per line; full-precision reprs round-trip exactly."""
+    """One value per line; full-precision reprs round-trip exactly.
+
+    Text is built and written `_LEAF` values at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        for v in w.values:
-            fh.write(repr(float(v)))
+        for start in range(0, w.count, _LEAF):
+            fh.write("\n".join(map(repr, w.values[start:start + _LEAF].tolist())))
             fh.write("\n")
 
 

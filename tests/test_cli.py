@@ -272,6 +272,60 @@ class TestExtrapolateCommand:
                           "token counts; j=5 is unsatisfiable\n"}
 
 
+def write_scaled_levels_csv(path, scales):
+    """Chinchilla losses at each x_level of `scales`, times its factor."""
+    law = sl.get_law("chinchilla")
+    params = sl.ParamVector("chinchilla", (2.0, 3.0, 1.0, 0.5, 0.5))
+    observations = tuple(
+        sl.Observation(f"m{i}", float(n), float(d),
+                       float(sl.predict_loss(law, params, n / 1e9, d / 1e9)) * scale,
+                       x_level=level)
+        for level, scale in scales.items()
+        for i, n in enumerate(MODEL_SIZES)
+        for d in TOKEN_COUNTS
+    )
+    return write_csv_from_set(path, sl.ObservationSet(observations))
+
+
+class TestScoreOverflow:
+    """Losses near 1e160 have squares beyond the float range, so R^2 is
+    null with the reason wherever its sums of squares overflow."""
+
+    FLAGS = ["--seed", "0", "--objective", "log_loss", "--no-timestamp"]
+
+    def test_fit_records_null_r2_train(self, tmp_path, capsys):
+        path = write_scaled_levels_csv(tmp_path / "obs.csv", {40.0: 1.0, 20.0: 1e160})
+        out = tmp_path / "fit.json"
+        code = main(["fit", "--data", path, "--law", "chinchilla", "--out", str(out),
+                     *self.FLAGS])
+        assert code == 0
+        assert json.loads(out.read_text())["fit"]["r2_train"] is None
+        assert "r2_train=n/a" in capsys.readouterr().out
+
+    def test_compare_cell_is_null_with_reason(self, tmp_path, capsys):
+        path = write_scaled_levels_csv(tmp_path / "obs.csv", {40.0: 1.0, 20.0: 1e160})
+        out = tmp_path / "cmp.json"
+        code = main(["compare", "--data", path, "--laws", "chinchilla", "--group-by-level",
+                     "--out", str(out), *self.FLAGS])
+        capsys.readouterr()
+        assert code == 0
+        cells = json.loads(out.read_text())["comparison"]["rows"][0]["cells"]
+        assert cells[0] == {"level": "20.0", "r2": None, "error": "the total sum of squares "
+                            "overflows the float range; R-squared is undefined"}
+        assert cells[1]["r2"] >= 1 - 1e-9
+
+    @pytest.mark.parametrize("command,args,table", [
+        ("compare", ["--laws", "chinchilla"], "comparison"),
+        ("extrapolate", ["--laws", "chinchilla", "--mode", "token", "--j", "8"],
+         "extrapolation"),
+    ])
+    def test_every_cell_overflowing_exits_3(self, tmp_path, capsys, command, args, table):
+        path = write_scaled_levels_csv(tmp_path / "obs.csv", {20.0: 1e160})
+        code = main([command, "--data", path, *args, *self.FLAGS])
+        assert code == 3
+        assert capsys.readouterr().err == f"error[numeric]: every {table} cell failed\n"
+
+
 class TestGridAndReportCommands:
     def test_grid_csv_monotone_and_manifest(self, tmp_path, chinchilla_csv, capsys):
         fit_out = tmp_path / "fit.json"

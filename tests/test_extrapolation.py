@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import scalelaws as sl
+from scalelaws.extrapolation import SweepCell
 from scalelaws.fitter import FitConfig
 
 from synth import (
@@ -250,3 +251,34 @@ class TestProgressiveSweep:
             FitConfig(starts=4, seed=3, max_iters=150),
         )
         assert sweep1.to_json() == sweep2.to_json()
+
+
+class TestTextTables:
+    """Every column is wider than its longest cell, so splitting a
+    rendered row on whitespace gives back its cells."""
+
+    def test_comparison_rows_split_into_cells(self):
+        table = sl.ComparisonTable(
+            levels=("10.0", "40.0"), grouped_by_level=True, fit_mode=None, rows=(
+                ("shannon_full", ((1.0, None), (1.0, None)), 1.0, 0.0),
+                ("chinchilla", ((0.4946, None), (0.9749, None)), 0.68425, 0.18),
+                ("qid", ((-11210081.8532, None), (None, "failed")), -11210081.8532, 0.0),
+            ))
+        assert [line.split() for line in table.to_text().splitlines()] == [
+            ["Law", "10.0", "40.0", "Avg", "±", "Std"],
+            ["shannon_full", "1.0000*", "1.0000*", "1.0000", "±", "0.00"],
+            ["chinchilla", "0.4946", "0.9749", "0.6843", "±", "0.18"],
+            ["qid", "-11210081.8532", "n/a", "-11210081.8532", "±", "0.00"],
+        ]
+
+    def test_sweep_rows_split_into_cells(self):
+        specs = tuple(sl.SplitSpec("token", j=j) for j in (8, 12))
+        sweep = sl.SweepTable(
+            law_ids=("chinchilla", "qid"), specs=specs, fit_modes=("per_level",) * 2,
+            cells=((SweepCell(0.9992), SweepCell(0.9993)),
+                   (SweepCell(None, "overflow"), SweepCell(-11210081.8532))))
+        assert [line.split() for line in sweep.to_text().splitlines()] == [
+            ["Method", "j=8", "j=12"],
+            ["chinchilla", "0.9992*", "0.9993*"],
+            ["qid", "n/a", "-11210081.8532"],
+        ]

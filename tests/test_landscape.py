@@ -5,9 +5,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalelaws as sl
-from scalelaws.landscape import LossGrid, classify_slice
+from scalelaws.landscape import SPACINGS, LossGrid, classify_slice
 
 from synth import random_params
 
@@ -48,6 +50,37 @@ def synthetic_grid(values, mask=None, n_values=None, d_values=None):
         n_values=np.asarray(n_values, dtype=float),
         d_values=np.asarray(d_values, dtype=float),
         values=stored,
+        error_mask=mask,
+    )
+
+
+# smallest subnormal, smallest normal, tiny, one, huge, largest finite
+EXTREME_FLOATS = [5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300,
+                  1.7976931348623157e308]
+
+
+def csv_writer_rows(grid, destination):
+    """The reference CSV layout: one csv.writer row per cell."""
+    writer = csv.writer(destination)
+    writer.writerow(["n", "d", "loss"])
+    for i, n in enumerate(grid.n_values):
+        for j, d in enumerate(grid.d_values):
+            loss = "" if grid.error_mask[i, j] else repr(float(grid.values[i, j]))
+            writer.writerow([repr(float(n)), repr(float(d)), loss])
+
+
+def csv_grid(values, mask, n_values, d_values):
+    """A LossGrid for CSV checks. The CSV reads only the arrays, so
+    `spec` is a placeholder: a GridSpec cannot describe a 1-point axis."""
+    return LossGrid(
+        spec=sl.GridSpec(1.0, 2.0, 1.0, 2.0, 2, 2),
+        law_id="chinchilla",
+        params=sl.ParamVector("chinchilla", (1.0, 1.0, 1.0, 1.0, 1.0)),
+        normalization=IDENT,
+        x=None,
+        n_values=n_values,
+        d_values=d_values,
+        values=values,
         error_mask=mask,
     )
 
@@ -134,6 +167,37 @@ class TestGridEval:
         assert float(rows[1][0]) == grid.n_values[0] and float(rows[1][1]) == grid.d_values[0]
         assert rows[2][2] == ""  # masked cell
         assert float(rows[3][2]) == 3.0
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data(), n_steps=st.sampled_from([1, 2, 7]),
+           d_steps=st.sampled_from([1, 2, 7]), spacing=st.sampled_from(SPACINGS))
+    def test_csv_bytes_match_csv_writer(self, tmp_path_factory, data, n_steps, d_steps,
+                                        spacing):
+        """to_csv_text and to_csv(path) write exactly what one csv.writer
+        row per cell writes, for any shape, mask and float magnitude."""
+        axis = np.geomspace if spacing == "log" else np.linspace
+        low = st.floats(5e-324, 1e300)  # subnormal to huge
+        spread = st.floats(1.0, 1e8, exclude_min=True)
+        n_lo, d_lo = data.draw(low, label="n_lo"), data.draw(low, label="d_lo")
+        n_values = axis(n_lo, n_lo * data.draw(spread, label="n_spread"), n_steps)
+        d_values = axis(d_lo, d_lo * data.draw(spread, label="d_spread"), d_steps)
+        cells = n_steps * d_steps
+        losses = st.one_of(st.sampled_from(EXTREME_FLOATS),
+                           st.floats(5e-324, 1.7976931348623157e308))
+        values = np.array(data.draw(st.lists(losses, min_size=cells, max_size=cells),
+                                    label="values")).reshape(n_steps, d_steps)
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=cells, max_size=cells),
+                                  label="mask")).reshape(n_steps, d_steps)
+        grid = csv_grid(values, mask, n_values, d_values)
+
+        expected = io.StringIO(newline="")
+        csv_writer_rows(grid, expected)
+        assert grid.to_csv_text() == expected.getvalue()
+        path = tmp_path_factory.mktemp("grid") / "grid.csv"
+        grid.to_csv(path)
+        with open(path.with_suffix(".expected"), "w", newline="", encoding="utf-8") as fh:
+            csv_writer_rows(grid, fh)
+        assert path.read_bytes() == path.with_suffix(".expected").read_bytes()
 
 
 class TestClassifySlice:

@@ -35,6 +35,22 @@ class TestRSquared:
         with pytest.raises(sl.DataValidationError):
             sl.r_squared(pairs([1.0], [2.0]))
 
+    @pytest.mark.parametrize("pred,obs,what", [
+        ([1e200, 1.0, 2.0], [1.0, 2.0, 3.0], "residual sum of squares"),
+        ([1.0, 2.0], [1e200, -1e200], "total sum of squares"),
+        # here o - mean is -inf, which squares to inf without raising
+        ([1.0, 2.0, 3.0], [1.7e308, -1.7e308, 1.7e308], "total sum of squares"),
+        ([1.0, 2.0], [1.7e308, 1.7e308], "sum of observed values"),
+        ([1e150, 1.0, 2.0], [1e-100, 2e-100, 3e-100], "ratio"),
+    ])
+    def test_overflow_is_a_named_error(self, pred, obs, what):
+        with pytest.raises(sl.ScoreOverflowError, match=what):
+            sl.r_squared(pairs(pred, obs))
+
+    def test_huge_but_finite_residuals_still_score(self):
+        r2 = sl.r_squared(pairs([1e153, 1.0, 2.0], [1.0, 2.0, 3.0]))
+        assert math.isfinite(r2) and r2 < -1e305
+
     def test_validation(self):
         with pytest.raises(sl.DataValidationError):
             EvalPairs((1.0, 2.0), (1.0,))

@@ -248,6 +248,26 @@ class TestWvecContainer:
         back = sl.read_weights_text(path, dtype_code="f32")
         np.testing.assert_array_equal(back.values, w.values)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", [1, LEAF, LEAF + 1])
+    def test_text_bytes_match_per_value_writes(self, tmp_path, dtype, length):
+        info = np.finfo(dtype)
+        specials = np.array([-0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                             info.smallest_normal, info.max, -info.max], dtype=dtype)
+        values = np.random.default_rng(length).normal(0, 1, length).astype(dtype)
+        values[:len(specials)] = specials[:length]
+        if length > len(specials):
+            values[-len(specials):] = specials  # the last leaf's values too
+        w = vec(values, dtype=dtype)
+        path = tmp_path / "w.txt"
+        sl.write_weights_text(path, w)
+        expected = tmp_path / "expected.txt"
+        with open(expected, "w", encoding="utf-8") as fh:
+            for v in w.values:
+                fh.write(repr(float(v)))
+                fh.write("\n")
+        assert path.read_bytes() == expected.read_bytes()
+
     def test_text_rejects_garbage(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("1.5\nnot-a-number\n", encoding="utf-8")
