@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import ObservationSet, distinct_axis_values, group_by_level
-from .errors import DataValidationError, ScaleLawsError, SplitError
+from .errors import DataValidationError, ScaleLawsError, ScoreOverflowError, SplitError
 from .fitter import FitConfig, FitResult, fit
 from .laws import LawSpec, apply_orientation, predict_dataset
 from .metrics import STD_KIND, EvalPairs, pooled_r_squared, r_squared, summarize_levels
@@ -228,15 +228,21 @@ def _score(pairs: Callable[[], EvalPairs]) -> tuple[float | None, str | None]:
         return None, str(exc)
 
 
+def _score_text(score: float, decimals: int) -> str:
+    """`score` to `decimals` places, or to four significant digits once
+    |score| >= 1e6, so that a diverged fit's score keeps its cell narrow."""
+    return f"{score:.4g}" if abs(score) >= 1e6 else f"{score:.{decimals}f}"
+
+
 def _starred_table(corner: str, min_width: int, headers: Sequence[str], rows) -> str:
     """Aligned text table. Each row is (name, scores, tail): scores fill
-    the first columns to four decimals, "n/a" for None, the best in each
+    the first columns (see _score_text), "n/a" for None, the best in each
     column starred; tail cells are text for the remaining columns.
     Columns are right-aligned, each at least `min_width` wide, two more
     than its header and one more than its longest cell."""
     best = [max((s for s in column if s is not None), default=None)
             for column in zip(*(scores for _, scores, _ in rows))]
-    body = [(name, ["n/a" if s is None else f"{s:.4f}{'*' if s == top else ' '}"
+    body = [(name, ["n/a" if s is None else _score_text(s, 4) + ("*" if s == top else " ")
                     for s, top in zip(scores, best)] + list(tail))
             for name, scores, tail in rows]
     name_width = max([len(corner)] + [len(name) for name, _ in body])
@@ -248,6 +254,15 @@ def _starred_table(corner: str, min_width: int, headers: Sequence[str], rows) ->
     return "\n".join(lines)
 
 
+def _summary(scores: Sequence[tuple[object, float]]) -> tuple[float | None, float | None]:
+    """summarize_levels of `scores`, or (None, None) when there are none
+    or they overflow the float range."""
+    try:
+        return summarize_levels(scores) if scores else (None, None)
+    except ScoreOverflowError:
+        return None, None
+
+
 @dataclass(frozen=True)
 class ComparisonTable:
     """Laws x levels table of in-sample R-squared (see `compare_laws`).
@@ -255,7 +270,8 @@ class ComparisonTable:
     Each row is (law_id, cells, avg, std). A cell is (r2, error); r2 is
     None, and error says why, when the level's fit failed, its
     prediction left the law's domain or its R-squared is undefined. avg
-    and std (population) summarise the row's scores, None if none.
+    and std (population) summarise the row's scores, None if there are
+    none or they overflow the float range.
     """
 
     levels: tuple[str, ...]
@@ -281,7 +297,7 @@ class ComparisonTable:
         level column is starred."""
         return _starred_table("Law", 12, [*self.levels, "Avg ± Std"], [
             (law_id, [r2 for r2, _ in cells],
-             ["n/a" if avg is None else f"{avg:.4f} ± {std:.2f}"])
+             ["n/a" if avg is None else f"{_score_text(avg, 4)} ± {_score_text(std, 2)}"])
             for law_id, cells, avg, std in self.rows])
 
 
@@ -306,7 +322,7 @@ def compare_laws(
             _score(lambda: EvalPairs.of(_predict(oriented, result, group), group.losses()))
             for (_, group), (_, result) in zip(groups, entries))
         scores = [(level, r2) for (level, _), (r2, _) in zip(groups, cells) if r2 is not None]
-        rows.append((law.law_id, cells, *(summarize_levels(scores) if scores else (None, None))))
+        rows.append((law.law_id, cells, *_summary(scores)))
     return ComparisonTable(tuple(str(level) for level, _ in groups), bool(group_by_level),
                            fit_mode, tuple(rows))
 

@@ -3,11 +3,11 @@
 Parameters are optimized in unconstrained log coordinates u = ln(theta),
 which makes positivity structural. Each start runs a damped
 Gauss-Newton (Levenberg-Marquardt) iteration with the law's analytic
-Jacobian in those coordinates (``LawSpec.gradient``); accepted steps
-never increase the sum of squared residuals, damping grows on rejected
-steps and shrinks on accepted ones. The start with the lowest final SSE
-wins, ties resolving to the lowest start index, so results are
-reproducible from (data, config, seed) alone.
+Jacobian in those coordinates (the derivative ``LawSpec.form`` returns);
+accepted steps never increase the sum of squared residuals, damping
+grows on rejected steps and shrinks on accepted ones. The start with the
+lowest final SSE wins, ties resolving to the lowest start index, so
+results are reproducible from (data, config, seed) alone.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .laws import (
     evaluate_raw,
     evaluate_with_jacobian,
     log_inputs,
+    observed_x,
     predict_dataset,
 )
 from .metrics import EvalPairs, r_squared
@@ -181,14 +182,7 @@ class _Objective:
         self.law = law
         self.n = data.n_norm()
         self.d = data.d_norm()
-        self.x = None
-        if law.needs_x:
-            x = data.x_values()
-            if np.any(np.isnan(x)):
-                raise DataValidationError(
-                    f"law {law.law_id} requires x_level on every observation"
-                )
-            self.x = law.check_x(x)
+        self.x = law.check_x(observed_x(law, data))
         self.logs = log_inputs(law, self.n, self.d, self.x)
         self.y = data.losses()
         self.log_space = objective_space == "log_loss"

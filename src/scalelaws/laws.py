@@ -34,11 +34,11 @@ numerator by X) for perturbations like learning rate where larger X
 means more damage.
 
 Each law is one row of the law table below: id, parameter names, X
-domain, evaluator function and its analytic gradient in the log
-coordinates u = ln(theta) the fitter works in. LAW_IDS, SHANNON_FAMILY,
-every evaluation path and the fitter's Jacobian read that table;
-:func:`jacobian_fd` stays as the finite-difference oracle the gradients
-are tested against.
+domain and one form function, which returns the law's value together
+with its analytic derivative in the log coordinates u = ln(theta) the
+fitter works in. LAW_IDS, SHANNON_FAMILY, every evaluation path and the
+fitter's Jacobian read that table; :func:`jacobian_fd` stays as the
+finite-difference oracle the derivatives are tested against.
 
 Evaluation is vectorized over numpy arrays. Non-evaluable points raise
 :class:`~scalelaws.errors.LawDomainError`; infinities and NaNs never
@@ -54,7 +54,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .dataset import ObservationSet
-from .errors import LawDomainError
+from .errors import DataValidationError, LawDomainError
 
 MITIGATING = "mitigating"
 AMPLIFYING = "amplifying"
@@ -67,75 +67,15 @@ X_POSITIVE = "positive"
 
 # ---------------------------------------------------------------------
 # Law forms. Each takes the parameter components (see _split_theta), the
-# inputs and the X orientation. Capacity-family forms return
-# (bandwidth, snr), giving C = bandwidth * log2(1 + snr); baselines
-# return the loss.
-# ---------------------------------------------------------------------
-
-def _shannon_full(parts, n, d, x, orientation):
-    a, b, c, d_coef, e, alpha, beta, gamma, delta = parts
-    return a * n ** alpha, b * d ** beta / (c * (d * n) ** gamma + d_coef * d ** delta + e)
-
-
-def _shannon_simplified(parts, n, d, x, orientation):
-    a, c, alpha, beta, gamma, delta = parts
-    return a * n ** alpha, d ** beta / (c * (d * n) ** gamma + d ** delta)
-
-
-def _shannon_extended(parts, n, d, x, orientation):
-    a, b, c, d_coef, e, alpha, beta, gamma, delta = parts
-    signal = b * d ** beta
-    signal = signal * x if orientation == MITIGATING else signal / x
-    return a * n ** alpha, signal / (c * (d * n) ** gamma + d_coef * d ** delta + e)
-
-
-def _shannon_sizeonly_ablation(parts, n, d, x, orientation):
-    a, b, c, d_coef, e, alpha, beta, gamma, delta = parts
-    return a * n ** alpha, b * d ** beta / (c * n ** gamma + d_coef * d ** delta + e)
-
-
-def _loss_openai(parts, n, d, x, orientation):
-    a, b, alpha, beta = parts
-    return ((a / n) ** (alpha / beta) + b / d) ** beta
-
-
-def _loss_chinchilla(parts, n, d, x, orientation):
-    a, b, c, alpha, beta = parts
-    return a / n ** alpha + b / d ** beta + c
-
-
-def _loss_qid(parts, n, d, x, orientation):
-    a, b, c, d_coef, alpha, beta, alpha_p, beta_p, gamma = parts
-    base = a / n ** alpha + b / d ** beta + c
-    x_power = x ** (-gamma) if orientation == MITIGATING else x ** gamma
-    return base + d_coef * n ** alpha_p * d ** beta_p * x_power
-
-
-def _loss_precision(parts, n, d, x, orientation):
-    a, b, c, d_coef, alpha, beta, alpha_p, beta_p, gamma = parts
-    base = a / n ** alpha + b / d ** beta + c
-    x_factor = np.exp(-x / gamma) if orientation == MITIGATING else np.exp(gamma * x)
-    return base + d_coef * (d ** beta_p / n ** alpha_p) * x_factor
-
-
-def _loss_symmetric(parts, n, d, x, orientation):
-    a, b, c, alpha, beta = parts
-    return a * n ** alpha / d ** beta + b * d ** beta / n ** alpha + c
-
-
-def _loss_asymmetric(parts, n, d, x, orientation):
-    a, b, c, alpha, beta, alpha_p, beta_p = parts
-    return a * n ** alpha / d ** beta + b * d ** beta_p / n ** alpha_p + c
-
-
-# ---------------------------------------------------------------------
-# Gradients in u = ln(theta). Each takes a law form's arguments plus
-# logs = (ln n, ln d, ln x) (see log_inputs) and a point theta, and
-# repeats its form's arithmetic, so the value it returns equals the
-# evaluator's bit for bit. Derivatives come as rows, one per parameter:
-# capacity-family gradients return (bandwidth, snr, d ln(bandwidth)/du,
-# d ln(snr)/du), combined by _capacity_gradient; baselines return
-# (loss, dL/du).
+# inputs and the X orientation, and returns (value, derivative). The
+# value is (bandwidth, snr) for the capacity family, giving
+# C = bandwidth * log2(1 + snr), and the loss for baselines.
+# derivative(logs), with logs = (ln n, ln d, ln x) from log_inputs,
+# closes over the value's terms and returns its u = ln(theta) gradient
+# as rows, one per parameter: d ln(bandwidth)/du and d ln(snr)/du for
+# the capacity family (combined by _capacity_gradient), dL/du for
+# baselines. Gradient-only work stays inside it, so evaluation skips it;
+# it takes a point theta, never a batch.
 # ---------------------------------------------------------------------
 
 def _rows(like, *rows):
@@ -146,136 +86,153 @@ def _rows(like, *rows):
     return out
 
 
-def _shannon9_gradient(parts, n, d, ln_n, ln_d, signal, coupled, ln_coupled):
+def _shannon9(parts, n, d, signal, coupled, couples_d):
     """Shared by the 9-parameter capacity forms: bandwidth a*n^alpha and
     snr = signal / (c*coupled^gamma + d*D^delta + e), signal = b*D^beta
-    times any X factor."""
+    times any X factor, coupled = D*N if `couples_d` else N."""
     a, b, c, d_coef, e, alpha, beta, gamma, delta = parts
     interaction = c * coupled ** gamma
     data_noise = d_coef * d ** delta
     noise = interaction + data_noise + e
-    interaction_share = -interaction / noise
-    data_noise_share = -data_noise / noise
-    grad_bandwidth = _rows(n, 1.0, 0.0, 0.0, 0.0, 0.0, alpha * ln_n, 0.0, 0.0, 0.0)
-    grad_snr = _rows(n, 0.0, 1.0, interaction_share, data_noise_share, -e / noise, 0.0,
-                     beta * ln_d, gamma * ln_coupled * interaction_share,
-                     delta * ln_d * data_noise_share)
-    return a * n ** alpha, signal / noise, grad_bandwidth, grad_snr
+
+    def derivative(logs):
+        ln_n, ln_d, _ = logs
+        ln_coupled = ln_d + ln_n if couples_d else ln_n
+        interaction_share = -interaction / noise
+        data_noise_share = -data_noise / noise
+        return (_rows(n, 1.0, 0.0, 0.0, 0.0, 0.0, alpha * ln_n, 0.0, 0.0, 0.0),
+                _rows(n, 0.0, 1.0, interaction_share, data_noise_share, -e / noise, 0.0,
+                      beta * ln_d, gamma * ln_coupled * interaction_share,
+                      delta * ln_d * data_noise_share))
+
+    return (a * n ** alpha, signal / noise), derivative
 
 
-def _shannon_full_gradient(parts, n, d, x, orientation, logs):
-    ln_n, ln_d, _ = logs
+def _shannon_full(parts, n, d, x, orientation):
     b, beta = parts[1], parts[6]
-    return _shannon9_gradient(parts, n, d, ln_n, ln_d, b * d ** beta, d * n, ln_d + ln_n)
+    return _shannon9(parts, n, d, b * d ** beta, d * n, True)
 
 
-def _shannon_simplified_gradient(parts, n, d, x, orientation, logs):
+def _shannon_simplified(parts, n, d, x, orientation):
     a, c, alpha, beta, gamma, delta = parts
-    ln_n, ln_d, _ = logs
     interaction = c * (d * n) ** gamma
     data_noise = d ** delta
     noise = interaction + data_noise
-    interaction_share = -interaction / noise
-    grad_bandwidth = _rows(n, 1.0, 0.0, alpha * ln_n, 0.0, 0.0, 0.0)
-    grad_snr = _rows(n, 0.0, interaction_share, 0.0, beta * ln_d,
-                     gamma * (ln_d + ln_n) * interaction_share,
-                     -delta * ln_d * data_noise / noise)
-    return a * n ** alpha, d ** beta / noise, grad_bandwidth, grad_snr
+
+    def derivative(logs):
+        ln_n, ln_d, _ = logs
+        interaction_share = -interaction / noise
+        return (_rows(n, 1.0, 0.0, alpha * ln_n, 0.0, 0.0, 0.0),
+                _rows(n, 0.0, interaction_share, 0.0, beta * ln_d,
+                      gamma * (ln_d + ln_n) * interaction_share,
+                      -delta * ln_d * data_noise / noise))
+
+    return (a * n ** alpha, d ** beta / noise), derivative
 
 
-def _shannon_extended_gradient(parts, n, d, x, orientation, logs):
-    ln_n, ln_d, _ = logs
+def _shannon_extended(parts, n, d, x, orientation):
     b, beta = parts[1], parts[6]
     signal = b * d ** beta
     signal = signal * x if orientation == MITIGATING else signal / x
-    return _shannon9_gradient(parts, n, d, ln_n, ln_d, signal, d * n, ln_d + ln_n)
+    return _shannon9(parts, n, d, signal, d * n, True)
 
 
-def _shannon_sizeonly_ablation_gradient(parts, n, d, x, orientation, logs):
-    ln_n, ln_d, _ = logs
+def _shannon_sizeonly_ablation(parts, n, d, x, orientation):
     b, beta = parts[1], parts[6]
-    return _shannon9_gradient(parts, n, d, ln_n, ln_d, b * d ** beta, n, ln_n)
+    return _shannon9(parts, n, d, b * d ** beta, n, False)
 
 
-def _loss_openai_gradient(parts, n, d, x, orientation, logs):
+def _loss_openai(parts, n, d, x, orientation):
     a, b, alpha, beta = parts
-    ln_n, _, _ = logs
     size_term = (a / n) ** (alpha / beta)
     data_term = b / d
     total = size_term + data_term
     loss = total ** beta
-    per_total = loss / total
-    d_a = alpha * size_term * per_total
-    d_alpha = (math.log(a) - ln_n) * d_a
-    return loss, _rows(n, d_a, beta * data_term * per_total, d_alpha,
-                       beta * np.log(total) * loss - d_alpha)
+
+    def derivative(logs):
+        ln_n, _, _ = logs
+        per_total = loss / total
+        d_a = alpha * size_term * per_total
+        d_alpha = (math.log(a) - ln_n) * d_a
+        return _rows(n, d_a, beta * data_term * per_total, d_alpha,
+                     beta * np.log(total) * loss - d_alpha)
+
+    return loss, derivative
 
 
-def _loss_chinchilla_gradient(parts, n, d, x, orientation, logs):
+def _loss_chinchilla(parts, n, d, x, orientation):
     a, b, c, alpha, beta = parts
-    ln_n, ln_d, _ = logs
     size_term = a / n ** alpha
     data_term = b / d ** beta
-    return size_term + data_term + c, _rows(
-        n, size_term, data_term, c, -alpha * ln_n * size_term, -beta * ln_d * data_term
-    )
+
+    def derivative(logs):
+        ln_n, ln_d, _ = logs
+        return _rows(n, size_term, data_term, c, -alpha * ln_n * size_term,
+                     -beta * ln_d * data_term)
+
+    return size_term + data_term + c, derivative
 
 
-def _loss_qid_gradient(parts, n, d, x, orientation, logs):
+def _loss_qid(parts, n, d, x, orientation):
     a, b, c, d_coef, alpha, beta, alpha_p, beta_p, gamma = parts
-    ln_n, ln_d, ln_x = logs
     size_term = a / n ** alpha
     data_term = b / d ** beta
-    if orientation == MITIGATING:
-        x_power, d_x_power = x ** (-gamma), -gamma * ln_x
-    else:
-        x_power, d_x_power = x ** gamma, gamma * ln_x
+    x_power = x ** (-gamma) if orientation == MITIGATING else x ** gamma
     penalty = d_coef * n ** alpha_p * d ** beta_p * x_power
-    return size_term + data_term + c + penalty, _rows(
-        n, size_term, data_term, c, penalty, -alpha * ln_n * size_term,
-        -beta * ln_d * data_term, alpha_p * ln_n * penalty, beta_p * ln_d * penalty,
-        d_x_power * penalty,
-    )
+
+    def derivative(logs):
+        ln_n, ln_d, ln_x = logs
+        d_x_power = -gamma * ln_x if orientation == MITIGATING else gamma * ln_x
+        return _rows(n, size_term, data_term, c, penalty, -alpha * ln_n * size_term,
+                     -beta * ln_d * data_term, alpha_p * ln_n * penalty,
+                     beta_p * ln_d * penalty, d_x_power * penalty)
+
+    return size_term + data_term + c + penalty, derivative
 
 
-def _loss_precision_gradient(parts, n, d, x, orientation, logs):
+def _loss_precision(parts, n, d, x, orientation):
     a, b, c, d_coef, alpha, beta, alpha_p, beta_p, gamma = parts
-    ln_n, ln_d, _ = logs
     size_term = a / n ** alpha
     data_term = b / d ** beta
-    if orientation == MITIGATING:
-        x_factor, d_x_factor = np.exp(-x / gamma), x / gamma
-    else:
-        x_factor, d_x_factor = np.exp(gamma * x), gamma * x
+    x_factor = np.exp(-x / gamma) if orientation == MITIGATING else np.exp(gamma * x)
     penalty = d_coef * (d ** beta_p / n ** alpha_p) * x_factor
-    return size_term + data_term + c + penalty, _rows(
-        n, size_term, data_term, c, penalty, -alpha * ln_n * size_term,
-        -beta * ln_d * data_term, -alpha_p * ln_n * penalty, beta_p * ln_d * penalty,
-        d_x_factor * penalty,
-    )
+
+    def derivative(logs):
+        ln_n, ln_d, _ = logs
+        d_x_factor = x / gamma if orientation == MITIGATING else gamma * x
+        return _rows(n, size_term, data_term, c, penalty, -alpha * ln_n * size_term,
+                     -beta * ln_d * data_term, -alpha_p * ln_n * penalty,
+                     beta_p * ln_d * penalty, d_x_factor * penalty)
+
+    return size_term + data_term + c + penalty, derivative
 
 
-def _loss_symmetric_gradient(parts, n, d, x, orientation, logs):
+def _loss_symmetric(parts, n, d, x, orientation):
     a, b, c, alpha, beta = parts
-    ln_n, ln_d, _ = logs
     size_over_data = a * n ** alpha / d ** beta
     data_over_size = b * d ** beta / n ** alpha
-    spread = size_over_data - data_over_size
-    return size_over_data + data_over_size + c, _rows(
-        n, size_over_data, data_over_size, c, alpha * ln_n * spread, -beta * ln_d * spread
-    )
+
+    def derivative(logs):
+        ln_n, ln_d, _ = logs
+        spread = size_over_data - data_over_size
+        return _rows(n, size_over_data, data_over_size, c, alpha * ln_n * spread,
+                     -beta * ln_d * spread)
+
+    return size_over_data + data_over_size + c, derivative
 
 
-def _loss_asymmetric_gradient(parts, n, d, x, orientation, logs):
+def _loss_asymmetric(parts, n, d, x, orientation):
     a, b, c, alpha, beta, alpha_p, beta_p = parts
-    ln_n, ln_d, _ = logs
     size_over_data = a * n ** alpha / d ** beta
     data_over_size = b * d ** beta_p / n ** alpha_p
-    return size_over_data + data_over_size + c, _rows(
-        n, size_over_data, data_over_size, c, alpha * ln_n * size_over_data,
-        -beta * ln_d * size_over_data, -alpha_p * ln_n * data_over_size,
-        beta_p * ln_d * data_over_size,
-    )
+
+    def derivative(logs):
+        ln_n, ln_d, _ = logs
+        return _rows(n, size_over_data, data_over_size, c, alpha * ln_n * size_over_data,
+                     -beta * ln_d * size_over_data, -alpha_p * ln_n * data_over_size,
+                     beta_p * ln_d * data_over_size)
+
+    return size_over_data + data_over_size + c, derivative
 
 
 @dataclass(frozen=True)
@@ -287,10 +244,9 @@ class LawSpec:
         param_names: Ordered names of the positive fitted constants.
         x_domain: The perturbation scalar X the law takes: "none",
             "finite" (any finite X) or "positive" (X > 0).
-        evaluator: The closed form, see the law forms above.
-        gradient: The evaluator's derivative in u = ln(theta), see the
-            gradients above.
-        capacity_family: Whether `evaluator` returns (bandwidth, snr)
+        form: The closed form, returning its value and a derivative
+            in u = ln(theta); see the law forms above.
+        capacity_family: Whether the value of `form` is (bandwidth, snr)
             rather than the loss.
         x_orientation: "mitigating", "amplifying", or "none" — whether a
             larger X reduces or increases the degradation term.
@@ -299,8 +255,7 @@ class LawSpec:
     law_id: str
     param_names: tuple[str, ...]
     x_domain: str
-    evaluator: Callable = field(repr=False)
-    gradient: Callable = field(repr=False)
+    form: Callable = field(repr=False)
     capacity_family: bool = False
     x_orientation: str = NO_X
 
@@ -344,25 +299,21 @@ _X_PENALTY_PARAMS = ("a", "b", "c", "d", "alpha", "beta", "alpha_prime", "beta_p
 
 #: The law table, the single definition of every law, in registry order.
 _REGISTRY: tuple[LawSpec, ...] = (
-    LawSpec("shannon_full", _SHANNON_PARAMS, NO_X, _shannon_full, _shannon_full_gradient,
-            capacity_family=True),
+    LawSpec("shannon_full", _SHANNON_PARAMS, NO_X, _shannon_full, capacity_family=True),
     LawSpec("shannon_simplified", ("a", "c", "alpha", "beta", "gamma", "delta"), NO_X,
-            _shannon_simplified, _shannon_simplified_gradient, capacity_family=True),
+            _shannon_simplified, capacity_family=True),
     LawSpec("shannon_extended", _SHANNON_PARAMS, X_POSITIVE, _shannon_extended,
-            _shannon_extended_gradient, capacity_family=True, x_orientation=MITIGATING),
-    LawSpec("openai", ("a", "b", "alpha", "beta"), NO_X, _loss_openai, _loss_openai_gradient),
-    LawSpec("chinchilla", ("a", "b", "c", "alpha", "beta"), NO_X, _loss_chinchilla,
-            _loss_chinchilla_gradient),
-    LawSpec("qid", _X_PENALTY_PARAMS, X_POSITIVE, _loss_qid, _loss_qid_gradient,
-            x_orientation=MITIGATING),
+            capacity_family=True, x_orientation=MITIGATING),
+    LawSpec("openai", ("a", "b", "alpha", "beta"), NO_X, _loss_openai),
+    LawSpec("chinchilla", ("a", "b", "c", "alpha", "beta"), NO_X, _loss_chinchilla),
+    LawSpec("qid", _X_PENALTY_PARAMS, X_POSITIVE, _loss_qid, x_orientation=MITIGATING),
     LawSpec("precision", _X_PENALTY_PARAMS, X_FINITE, _loss_precision,
-            _loss_precision_gradient, x_orientation=MITIGATING),
-    LawSpec("symmetric", ("a", "b", "c", "alpha", "beta"), NO_X, _loss_symmetric,
-            _loss_symmetric_gradient),
+            x_orientation=MITIGATING),
+    LawSpec("symmetric", ("a", "b", "c", "alpha", "beta"), NO_X, _loss_symmetric),
     LawSpec("asymmetric", ("a", "b", "c", "alpha", "beta", "alpha_prime", "beta_prime"),
-            NO_X, _loss_asymmetric, _loss_asymmetric_gradient),
+            NO_X, _loss_asymmetric),
     LawSpec("shannon_sizeonly_ablation", _SHANNON_PARAMS, NO_X, _shannon_sizeonly_ablation,
-            _shannon_sizeonly_ablation_gradient, capacity_family=True),
+            capacity_family=True),
 )
 _BY_ID: dict[str, LawSpec] = {spec.law_id: spec for spec in _REGISTRY}
 
@@ -472,7 +423,7 @@ def evaluate_raw(law: LawSpec, theta: Sequence[float], n, d, x=None) -> np.ndarr
     if law.needs_x and x is None:
         raise LawDomainError(f"law {law.law_id} requires x")
     with np.errstate(all="ignore"):
-        value = law.evaluator(_split_theta(theta), n, d, x, law.x_orientation)
+        value = law.form(_split_theta(theta), n, d, x, law.x_orientation)[0]
         if law.capacity_family:
             value = 1.0 / _capacity(*value)
         return np.asarray(value, dtype=float)
@@ -507,15 +458,13 @@ def evaluate_with_jacobian(
         bit for bit, and jac of shape [n_obs, n_params]. No domain
         checks: entries may be non-finite.
     """
-    parts = _split_theta(theta)
     with np.errstate(all="ignore"):
+        value, derivative = law.form(_split_theta(theta), n, d, x, law.x_orientation)
         if law.capacity_family:
-            loss, rows = _capacity_gradient(
-                *law.gradient(parts, n, d, x, law.x_orientation, logs)
-            )
+            value, rows = _capacity_gradient(*value, *derivative(logs))
         else:
-            loss, rows = law.gradient(parts, n, d, x, law.x_orientation, logs)
-    return loss, rows.T
+            rows = derivative(logs)
+    return value, rows.T
 
 
 # ---------------------------------------------------------------------
@@ -541,7 +490,7 @@ def _capacity_checked(law: LawSpec, params: ParamVector, n, d, x):
     n_arr, d_arr, x_arr, scalar = _coerce_inputs(law, n, d, x)
     parts = _split_theta(params.values)
     with np.errstate(all="ignore"):
-        bandwidth, snr = law.evaluator(parts, n_arr, d_arr, x_arr, law.x_orientation)
+        bandwidth, snr = law.form(parts, n_arr, d_arr, x_arr, law.x_orientation)[0]
         if np.any(~np.isfinite(snr)):
             raise LawDomainError(f"{law.law_id}: SNR overflowed to a non-finite value")
         cap = np.asarray(_capacity(bandwidth, snr), dtype=float)
@@ -603,12 +552,14 @@ def predict_loss(law: LawSpec, params: ParamVector, n, d, x=None):
     return values
 
 
-def _observed_x(law: LawSpec, data: ObservationSet) -> np.ndarray | None:
+def observed_x(law: LawSpec, data: ObservationSet) -> np.ndarray | None:
+    """X of every observation, or None if `law` takes no X; raises
+    DataValidationError if an X-aware law meets a row without x_level."""
     if not law.needs_x:
         return None
     x = data.x_values()
     if np.any(np.isnan(x)):
-        raise LawDomainError(f"law {law.law_id} requires x_level on every observation")
+        raise DataValidationError(f"law {law.law_id} requires x_level on every observation")
     return x
 
 
@@ -616,9 +567,10 @@ def predict_dataset(law: LawSpec, params: ParamVector, data: ObservationSet) -> 
     """Predicted losses for every observation, in data order.
 
     Observations are normalized by the set's recorded normalization
-    before evaluation. Domain errors propagate.
+    before evaluation. An X-aware law raises DataValidationError on a
+    row without x_level; domain errors propagate.
     """
-    x = _observed_x(law, data)
+    x = observed_x(law, data)
     return np.asarray(predict_loss(law, params, data.n_norm(), data.d_norm(), x), dtype=float)
 
 
@@ -650,13 +602,15 @@ def jacobian_fd(
         Matrix of shape [n_obs, n_params] with finite entries.
 
     Raises:
+        DataValidationError: an X-aware law and an observation without
+            x_level.
         LawDomainError: invalid step, or a non-evaluable observation.
     """
     if not (0 < step_rel <= MAX_JACOBIAN_STEP):
         raise LawDomainError(f"step_rel must be in (0, {MAX_JACOBIAN_STEP}], got {step_rel}")
     n = observations.n_norm()
     d = observations.d_norm()
-    x = _observed_x(law, observations)
+    x = observed_x(law, observations)
     base = evaluate_raw(law, params.values, n, d, x)
     if np.any(~np.isfinite(base)):
         raise LawDomainError(f"{law.law_id}: non-evaluable observation at the given parameters")

@@ -123,10 +123,22 @@ def summarize_levels(scores: Sequence[tuple[object, float]]) -> tuple[float, flo
 
     Returns:
         (mean, std) over exactly the provided scores.
+
+    Raises:
+        DataValidationError: no scores.
+        ScoreOverflowError: the scores' sum or variance leaves the float
+            range.
     """
     if len(scores) == 0:
         raise DataValidationError("summarize_levels requires at least one score")
     values = [float(s) for _, s in scores]
-    mean = math.fsum(values) / len(values)
-    variance = math.fsum((v - mean) ** 2 for v in values) / len(values)
+    try:  # fsum and ** raise OverflowError; a difference overflows to inf
+        mean = math.fsum(values) / len(values)
+        variance = math.fsum((v - mean) ** 2 for v in values) / len(values)
+    except OverflowError:
+        variance = math.inf
+    if variance == math.inf:
+        raise ScoreOverflowError(
+            "the mean or variance of the level scores overflows the float range"
+        )
     return mean, math.sqrt(variance)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import scalelaws as sl
+from scalelaws import extrapolation
 from scalelaws.extrapolation import SweepCell
 from scalelaws.fitter import FitConfig
 
@@ -268,7 +269,7 @@ class TestTextTables:
             ["Law", "10.0", "40.0", "Avg", "±", "Std"],
             ["shannon_full", "1.0000*", "1.0000*", "1.0000", "±", "0.00"],
             ["chinchilla", "0.4946", "0.9749", "0.6843", "±", "0.18"],
-            ["qid", "-11210081.8532", "n/a", "-11210081.8532", "±", "0.00"],
+            ["qid", "-1.121e+07", "n/a", "-1.121e+07", "±", "0.00"],
         ]
 
     def test_sweep_rows_split_into_cells(self):
@@ -280,5 +281,26 @@ class TestTextTables:
         assert [line.split() for line in sweep.to_text().splitlines()] == [
             ["Method", "j=8", "j=12"],
             ["chinchilla", "0.9992*", "0.9993*"],
-            ["qid", "n/a", "-11210081.8532"],
+            ["qid", "n/a", "-1.121e+07"],
         ]
+
+    def test_huge_score_keeps_lines_narrow(self):
+        specs = tuple(sl.SplitSpec("token", j=j) for j in (8, 12))
+        sweep = sl.SweepTable(
+            law_ids=("chinchilla", "qid"), specs=specs, fit_modes=("per_level",) * 2,
+            cells=((SweepCell(0.9992), SweepCell(0.9993)),
+                   (SweepCell(-3.74e156), SweepCell(0.5))))
+        lines = sweep.to_text().splitlines()
+        assert lines[2].split() == ["qid", "-3.74e+156", "0.5000"]
+        assert all(len(line) < 60 for line in lines)
+
+    def test_overflowing_summary_reads_n_a(self, monkeypatch):
+        scores = iter([(-1e200, None), (0.5, None)])
+        monkeypatch.setattr(extrapolation, "_score", lambda pairs: next(scores))
+        table = sl.compare_laws(shannon_level_set(levels=[40.0, 20.0]),
+                                [sl.get_law("chinchilla")], FitConfig(starts=1, max_iters=20),
+                                group_by_level=True)
+        assert table.rows[0][2:] == (None, None)
+        assert table.to_dict()["rows"][0]["avg"] is None
+        assert table.to_text().splitlines()[1].split() == [
+            "chinchilla", "-1e+200*", "0.5000*", "n/a"]

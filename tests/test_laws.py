@@ -312,6 +312,13 @@ class TestDomainValidation:
         with pytest.raises(sl.LawDomainError):
             sl.predict_loss(sl.get_law("openai"), chin, 1.0, 1.0)
 
+    def test_x_law_needs_x_level_on_every_row(self):
+        data = sl.ObservationSet([sl.Observation("m", 1e9, 2e9, 1.0, x_level=4.0),
+                                  sl.Observation("m", 1e9, 4e9, 1.0)])
+        params = sl.ParamVector.from_dict("qid", GOLDEN_VALUES)
+        with pytest.raises(sl.DataValidationError, match="x_level on every observation"):
+            sl.predict_dataset(sl.get_law("qid"), params, data)
+
 
 def _toy_set(n_rows=6):
     observations = tuple(
@@ -416,6 +423,11 @@ class TestGoldenPredictions:
         scalar = sl.predict_loss(law, params, n, d, x_scalar if law.needs_x else None)
         got = [float(v).hex() for v in values] + [scalar.hex()]
         assert got == GOLDEN_LOSSES[(law_id, orientation)]
+        theta, n, d = np.array(params.values), np.array(GOLDEN_N), np.array(GOLDEN_D)
+        raw = evaluate_raw(law, theta, n, d, x)
+        with_jacobian, _ = evaluate_with_jacobian(law, theta, n, d, x, log_inputs(law, n, d, x))
+        for values in (raw, with_jacobian):
+            assert [float(v).hex() for v in values] == GOLDEN_LOSSES[(law_id, orientation)][:3]
 
 
 # The recovery grid of tests/test_fitter.py, crossed with X_LEVELS.
@@ -453,7 +465,7 @@ class TestAnalyticGradient:
         n, d = _GRID_N, _GRID_D
         x = _GRID_X if law.needs_x else None
         if law.capacity_family:
-            _, snr = oriented.evaluator(tuple(theta), n, d, x, oriented.x_orientation)
+            (_, snr), _ = oriented.form(tuple(theta), n, d, x, oriented.x_orientation)
             assume(snr.min() >= 1e-3)
         loss, jac = evaluate_with_jacobian(oriented, theta, n, d, x, log_inputs(oriented, n, d, x))
         np.testing.assert_array_equal(loss, evaluate_raw(oriented, theta, n, d, x))

@@ -144,6 +144,14 @@ class TestSummarizeLevels:
         with pytest.raises(sl.DataValidationError):
             sl.summarize_levels([])
 
+    @pytest.mark.parametrize("scores", [
+        [(0, -1e200), (1, 0.5)],  # the squared deviation overflows
+        [(0, -1.5e308), (1, -1.5e308)],  # the sum overflows
+    ])
+    def test_overflow_is_a_named_error(self, scores):
+        with pytest.raises(sl.ScoreOverflowError, match="level scores"):
+            sl.summarize_levels(scores)
+
     def test_matches_fsum_definition(self):
         rng = np.random.default_rng(5)
         scores = [(i, float(v)) for i, v in enumerate(rng.normal(0.8, 0.2, 9))]
