@@ -33,7 +33,7 @@ from .errors import (
     UndefinedVarianceError,
 )
 from .extrapolation import SplitSpec, compare_laws, progressive_sweep
-from .fitter import FitConfig, fit, fit_result_from_dict
+from .fitter import FitConfig, fit, read_fit
 from .landscape import GridSpec, detect_basin, exponent_report, grid_eval
 from .laws import LAW_IDS, get_law, law_registry, with_orientation
 from .perturb import (
@@ -226,22 +226,8 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
     return _emit_table(args, "sweep", sweep, "every extrapolation cell failed")
 
 
-def _load_fit_payload(path: str) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise DataValidationError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise DataValidationError(f"{path}: invalid JSON ({exc})")
-    record = payload.get("fit", payload)
-    if "law_id" not in record or "params" not in record:
-        raise DataValidationError(f"{path}: not a fit JSON (missing law_id/params)")
-    return record
-
-
 def cmd_grid(args: argparse.Namespace) -> int:
-    record = _load_fit_payload(args.fit)
-    result = fit_result_from_dict(record)
+    result = read_fit(args.fit)
     law = with_orientation(get_law(result.law_id), result.x_orientation)
     spec = GridSpec(
         n_min=args.n_min, n_max=args.n_max,
@@ -250,11 +236,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
         spacing=args.spacing,
     )
     grid = grid_eval(law, result.params, spec, x=args.x, normalization=result.normalization)
+    report = detect_basin(grid) if args.basin else None
     grid.to_csv(args.out)
     manifest = _manifest(args, [args.fit])
     _write_sidecar_manifest(args.out, manifest)
-    if args.basin:
-        report = detect_basin(grid)
+    if report is not None:
         _dump_json({"basin": report.to_dict(), "manifest": manifest}, args.basin)
     print(f"{result.law_id}: grid {spec.n_steps}x{spec.d_steps} -> {args.out} "
           f"({grid.n_evaluable()} evaluable cells)")
@@ -262,8 +248,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    record = _load_fit_payload(args.fit)
-    result = fit_result_from_dict(record)
+    result = read_fit(args.fit)
     report = exponent_report(result)
     payload = {"exponents": report.to_dict(), "manifest": _manifest(args, [args.fit])}
     _dump_json(payload, args.out)

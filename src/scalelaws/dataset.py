@@ -358,10 +358,13 @@ def load_observations(
     if format not in ("csv", "json"):
         raise DataValidationError(f"format must be 'csv' or 'json', got {format!r}")
 
-    if format == "csv":
-        cells, first_row_no = _read_csv_cells(path), 1
-    else:
-        cells, first_row_no = _read_json_cells(path), 0
+    try:
+        if format == "csv":
+            cells, first_row_no = _read_csv_cells(path), 1
+        else:
+            cells, first_row_no = _read_json_cells(path), 0
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path}: not UTF-8 text ({exc})") from None
     rows = len(cells["model_id"])
 
     n, _ = _number_column(cells["n_params"])
@@ -450,6 +453,8 @@ def _read_json_cells(path: Path) -> dict[str, list]:
              for name in REQUIRED_COLUMNS + OPTIONAL_COLUMNS}
     for name in ("model_id", "source_tag"):  # any JSON value, made hashable text
         cells[name] = [_text(v) for v in cells[name]]
+    for name in ("n_params", "d_tokens", "loss", "x_level"):  # a JSON boolean is not a number
+        cells[name] = [json.dumps(v) if type(v) is bool else v for v in cells[name]]
     return cells
 
 

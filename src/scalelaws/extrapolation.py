@@ -25,7 +25,6 @@ in which no row has a level is one level, "all".
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -360,9 +359,6 @@ class ExtrapReport:
             "fits": [f.to_dict() for f in self.per_level_fit],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
 
 def _split(oset: ObservationSet, spec: SplitSpec, joint_full_test: bool) -> tuple:
     """(spec, train, test, excluded count, train groups, test groups)."""
@@ -463,9 +459,6 @@ class SweepTable:
                 for law_id, mode, row in zip(self.law_ids, self.fit_modes, self.cells)
             ],
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def to_text(self) -> str:
         """Aligned table; the best cell in each column is starred."""

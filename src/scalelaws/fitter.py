@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,11 +24,13 @@ import numpy as np
 from .dataset import Normalization, ObservationSet
 from .errors import DataValidationError, FitError, ScoreOverflowError, UndefinedVarianceError
 from .laws import (
+    LAW_IDS,
     LawSpec,
     ParamVector,
     apply_orientation,
     evaluate_raw,
     evaluate_with_jacobian,
+    get_law,
     log_inputs,
     observed_x,
     predict_dataset,
@@ -144,26 +147,72 @@ class FitResult:
             "x_orientation": self.x_orientation,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+def _finite(value) -> bool:  # type(True) is bool; the comparison is exact for any int
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def fit_result_from_dict(payload: dict) -> FitResult:
-    """Rebuild a FitResult from its to_dict()/JSON form."""
-    return FitResult(
-        law_id=payload["law_id"],
-        params=ParamVector.from_dict(payload["law_id"], payload["params"]),
-        normalization=Normalization(**payload["normalization"]),
-        sse=float(payload["sse"]),
-        r2_train=None if payload["r2_train"] is None else float(payload["r2_train"]),
-        n_obs=int(payload["n_obs"]),
-        converged=bool(payload["converged"]),
-        iterations_used=int(payload["iterations_used"]),
-        start_index_won=int(payload["start_index_won"]),
-        seed=int(payload["seed"]),
-        objective_space=payload["objective_space"],
-        x_orientation=payload.get("x_orientation"),
-    )
+_POSITIVE = (lambda v: _finite(v) and v > 0, "a positive finite number")
+
+#: Each key FitResult.to_dict writes: a test its value passes, and what passes it.
+_FIT_KEYS = {
+    "law_id": (LAW_IDS.__contains__, f"one of {', '.join(LAW_IDS)}"),
+    **dict.fromkeys(("params", "normalization"), (lambda v: type(v) is dict, "a JSON object")),
+    "sse": (_finite, "a finite number"),
+    "r2_train": (lambda v: v is None or _finite(v), "a finite number or null"),
+    **dict.fromkeys(("n_obs", "iterations_used", "start_index_won", "seed"),
+                    (lambda v: type(v) is int, "an integer")),
+    "converged": (lambda v: type(v) is bool, "a boolean"),
+    "objective_space": (OBJECTIVE_SPACES.__contains__, f"one of {', '.join(OBJECTIVE_SPACES)}"),
+    "x_orientation": ((None, "mitigating", "amplifying").__contains__,
+                      "null, 'mitigating' or 'amplifying'"),
+}
+
+
+def _checked(value, keys: dict, where: str = "") -> dict:
+    """`value` if it is a JSON object with exactly `keys`, each value passing its test."""
+    if type(value) is not dict:
+        raise DataValidationError(f"expected a JSON object, got {value!r}")
+    odd = [k for k in keys if k not in value] + [k for k in value if k not in keys]
+    if odd:
+        raise DataValidationError(
+            f"{'missing' if odd[0] in keys else 'unexpected'} key {where}{odd[0]}")
+    for key, (test, what) in keys.items():
+        if not test(value[key]):
+            raise DataValidationError(f"{where}{key} must be {what}, got {value[key]!r}")
+    return value
+
+
+def fit_result_from_dict(record: dict) -> FitResult:
+    """Rebuild a FitResult from its to_dict() form, checking every key (see
+    _FIT_KEYS; only an X-aware law has an x_orientation). Raises
+    DataValidationError naming the first key that fails."""
+    fields = dict(_checked(record, _FIT_KEYS))
+    law = get_law(fields["law_id"])
+    if fields["x_orientation"] is not None and not law.needs_x:
+        raise DataValidationError(f"x_orientation must be null for {law.law_id}, which takes no X")
+    fields["params"] = ParamVector.from_dict(law.law_id, _checked(
+        fields["params"], dict.fromkeys(law.param_names, _POSITIVE), "params."))
+    fields["normalization"] = Normalization(**_checked(
+        fields["normalization"], dict.fromkeys(("n_scale", "d_scale"), _POSITIVE),
+        "normalization."))
+    return FitResult(**fields)
+
+
+def read_fit(path: str) -> FitResult:
+    """Read a fit JSON: a to_dict() record in UTF-8 JSON text, bare or under
+    "fit". Raises DataValidationError naming the file when the text or the
+    record is malformed, and OSError when the file cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError
+        raise DataValidationError(f"{path}: not UTF-8 JSON ({exc})") from None
+    try:
+        return fit_result_from_dict(payload.get("fit", payload) if type(payload) is dict
+                                    else payload)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: {exc}") from None
 
 
 class _Objective:

@@ -166,8 +166,10 @@ class BasinReport:
 
     `argmin` is in raw (n, d) units. Axis verdicts are majority classes
     over fixed-other-axis slices; exact count ties break toward
-    "u_shaped", then "decreasing". Slices with error cells classify on
-    their longest evaluable run and are counted in partial_slices.
+    "u_shaped", then "decreasing", and an axis with no decreasing,
+    increasing or u_shaped slice reads "mixed". Slices with error cells
+    classify on their longest evaluable run and are counted in
+    partial_slices.
     """
 
     has_interior_minimum: bool
@@ -240,6 +242,8 @@ def _majority(classes: list[str]) -> str:
         if c in counts:
             counts[c] += 1
     top = max(counts.values())
+    if top == 0:
+        return MIXED
     leaders = [c for c in (U_SHAPED, DECREASING, INCREASING) if counts[c] == top]
     return leaders[0]
 

@@ -33,7 +33,6 @@ values. A one-value-per-line text form is supported for small vectors.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -113,9 +112,6 @@ class PerturbReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 # ---------------------------------------------------------------------
@@ -490,17 +486,20 @@ def read_weights_text(path: str | Path, dtype_code: str = "f64") -> WeightVector
     if dtype_code not in _DTYPE_CODES:
         raise DataValidationError(f"dtype must be 'f32' or 'f64', got {dtype_code!r}")
     values = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise DataValidationError(
-                    f"{path}: line {line_no}: {line!r} is not numeric"
-                ) from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    raise DataValidationError(
+                        f"{path}: line {line_no}: {line!r} is not numeric"
+                    ) from None
+    except UnicodeDecodeError as exc:  # raised while iterating over the lines
+        raise DataValidationError(f"{path}: not UTF-8 text ({exc})") from None
     if not values:
         raise DataValidationError(f"{path}: no values found")
     dtype = np.float32 if dtype_code == "f32" else np.float64

@@ -549,11 +549,13 @@ def test_criterion_11_determinism():
         law = sl.get_law(law_id)
         first = recovery_trial(law, 3)[1]
         second = recovery_trial(law, 3)[1]
-        assert first.to_json() == second.to_json()
+        assert json.dumps(first.to_dict(), sort_keys=True) == \
+            json.dumps(second.to_dict(), sort_keys=True)
 
     report_a = _criterion6_report()[1]
     report_b = _criterion6_report()[1]
-    assert report_a.to_json() == report_b.to_json()
+    assert json.dumps(report_a.to_dict(), sort_keys=True) == \
+        json.dumps(report_b.to_dict(), sort_keys=True)
 
     out_a = _criterion7_outputs()
     out_b = _criterion7_outputs()
@@ -561,5 +563,6 @@ def test_criterion_11_determinism():
         [(p, r) for _, p, r, _ in out_a], [(p, r) for _, p, r, _ in out_b]
     ):
         assert pert_a.values.tobytes() == pert_b.values.tobytes()
-        assert rep_a.to_json() == rep_b.to_json()
+        assert json.dumps(rep_a.to_dict(), sort_keys=True) == \
+            json.dumps(rep_b.to_dict(), sort_keys=True)
     _passed(11, "recovery, extrapolation, and calibration reruns byte-identical")

@@ -1,17 +1,23 @@
 """End-to-end command tests driven through main(argv)."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalelaws as sl
 from scalelaws.cli import main
+from scalelaws.fitter import read_fit
 
 from synth import MODEL_SIZES, TOKEN_COUNTS, shannon_level_set
 
@@ -538,6 +544,31 @@ class TestErrorContract:
         code = main(["measure", "--original", str(wvec), "--perturbed", str(bad)])
         self._assert_validation_error(code, capsys)
         assert not (tmp_path / "out.wvec").exists()
+    @pytest.mark.parametrize("command, flag, name", [
+        ("fit", "--data", "obs.csv"),
+        ("fit", "--data", "obs.json"),
+        ("wvec-pack", "--in", "w.txt"),
+    ])
+    def test_undecodable_text(self, tmp_path, capsys, command, flag, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe" + "1.0\n".encode("utf-16-le"))
+        extra = ["--law", "chinchilla"] if command == "fit" else []
+        code = main([command, flag, str(path), *extra, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error[validation]: {path}: not UTF-8 text")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_failed_basin_writes_no_grid(self, tmp_path, capsys):
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps({"fit": fit_record()}), encoding="utf-8")
+        code = main(["grid", "--fit", str(fit_path), "--n-min", "1", "--n-max", "10",
+                     "--d-min", "1", "--d-max", "10", "--n-steps", "2",
+                     "--out", str(tmp_path / "grid.csv"), "--basin", str(tmp_path / "b.json")])
+        self._assert_validation_error(code, capsys)
+        assert [p.name for p in tmp_path.iterdir()] == ["fit.json"]
+
 
 class TestThreadCountDeterminism:
     def _run(self, args, threads):
@@ -630,3 +661,137 @@ class TestExtremeSnr:
         assert err.startswith("error[validation]: snr_db ")
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["w.wvec"]
+
+
+FIT_PARAMS = (1.0, 2.0, 0.05, 0.005, 0.05, 0.2, 0.8, 0.7, 1.6)
+
+
+def fit_record():
+    """A shannon_full record as FitResult.to_dict writes it."""
+    return sl.FitResult(
+        law_id="shannon_full", params=sl.ParamVector("shannon_full", FIT_PARAMS),
+        normalization=sl.Normalization(1.0, 1.0), sse=0.0, r2_train=1.0, n_obs=1,
+        converged=True, iterations_used=0, start_index_won=0, seed=0, objective_space="loss",
+    ).to_dict()
+
+
+def edited(path, value=None, drop=False):
+    """A function making the fit command's payload with the record key at
+    `path` set to `value`, or dropped."""
+    def make():
+        record = fit_record()
+        *parents, key = path
+        target = record
+        for parent in parents:
+            target = target[parent]
+        if drop:
+            del target[key]
+        else:
+            target[key] = value
+        return {"fit": record, "manifest": {"command": "fit"}}
+    return make
+
+
+def fit_commands(fit_path, tmp_path):
+    """report and grid --basin on one fit JSON, each with the files it writes."""
+    report, grid, basin = (tmp_path / name for name in ("exponents.json", "grid.csv", "basin.json"))
+    return [
+        (["report", "--fit", str(fit_path), "--out", str(report)], [report]),
+        (["grid", "--fit", str(fit_path), "--n-min", "1e-2", "--n-max", "1e3",
+          "--d-min", "1e-2", "--d-max", "1e3", "--n-steps", "3", "--d-steps", "3",
+          "--out", str(grid), "--basin", str(basin)],
+         [grid, basin, tmp_path / "grid.csv.manifest.json"]),
+    ]
+
+
+class TestFitJsonReader:
+    """A malformed fit JSON is one error[validation] line naming the file
+    and the key, exit 2, and no output."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: [1], "expected a JSON object, got [1]"),
+        (lambda: {"fit": 5}, "expected a JSON object, got 5"),
+        (edited(("params", "beta"), "x"), "params.beta must be a positive finite number"),
+        (edited(("params", "beta"), True), "params.beta must be a positive finite number"),
+        (edited(("params",), [1, 2]), "params must be a JSON object"),
+        (edited(("law_id",), "gpt"), "law_id must be one of"),
+        (edited(("params", "beta"), -0.5), "params.beta must be a positive finite number"),
+        (edited(("normalization",), drop=True), "missing key normalization"),
+        (edited(("normalization", "x_scale"), 1.0), "unexpected key normalization.x_scale"),
+        (edited(("sse",), None), "sse must be a finite number"),
+        (edited(("r2_train",), "0.9"), "r2_train must be a finite number or null"),
+        (edited(("objective_space",), "logits"), "objective_space must be one of"),
+        (edited(("x_orientation",), "mitigating"), "x_orientation must be null for shannon_full"),
+        (lambda: b"\xff\xfe{}", "not UTF-8 JSON"),
+    ], ids=["list", "fit_not_object", "string_param", "bool_param", "params_list",
+            "unknown_law", "negative_param", "missing_normalization",
+            "extra_normalization_key", "null_sse", "string_r2", "bad_objective_space",
+            "bad_x_orientation", "not_utf8"])
+    def test_malformed_fit_json(self, tmp_path, capsys, make, message):
+        fit_path = tmp_path / "fit.json"
+        payload = make()
+        if isinstance(payload, bytes):
+            fit_path.write_bytes(payload)
+        else:
+            fit_path.write_text(json.dumps(payload), encoding="utf-8")
+        for argv, _ in fit_commands(fit_path, tmp_path):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 2, (argv[0], err)
+            assert err.startswith(f"error[validation]: {fit_path}: "), err
+            assert message in err
+            assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["fit.json"]
+
+    def test_bare_record_reads_as_the_fit_payload(self, tmp_path):
+        bare, wrapped = tmp_path / "bare.json", tmp_path / "wrapped.json"
+        bare.write_text(json.dumps(fit_record()), encoding="utf-8")
+        wrapped.write_text(json.dumps({"fit": fit_record()}), encoding="utf-8")
+        assert read_fit(str(bare)) == read_fit(str(wrapped))
+
+    @staticmethod
+    def _mutate(holder, mutations):
+        """Drop, add or retype keys below holder[""]; a mutation whose path
+        no longer leads to a key is skipped."""
+        for op, path, value in mutations:
+            *parents, key = ("",) + path
+            container = holder
+            for part in parents:
+                container = container.get(part) if isinstance(container, dict) else None
+            if not isinstance(container, dict) or key not in container:
+                continue
+            if op == "drop" and path:
+                del container[key]
+            elif op == "add" and isinstance(container[key], dict):
+                container[key]["extra"] = value
+            elif op == "retype":
+                container[key] = value
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["drop", "add", "retype"]),
+        st.sampled_from(
+            [(), ("fit",)] + [("fit", key) for key in fit_record()]
+            + [("fit", "params", name) for name in sl.get_law("shannon_full").param_names]
+            + [("fit", "normalization", "n_scale"), ("fit", "normalization", "d_scale")]),
+        # every JSON type, booleans beside the numbers they equal
+        st.sampled_from([None, True, False, 0, 1, 2.5, -1.0, "x", [1, 2], {"a": 1}]),
+    ), min_size=1, max_size=3))
+    def test_mutated_fit_json_keeps_the_contract(self, mutations):
+        holder = {"": {"fit": fit_record(), "manifest": {"command": "fit"}}}
+        self._mutate(holder, mutations)
+        with tempfile.TemporaryDirectory() as tmp:
+            fit_path = Path(tmp) / "fit.json"
+            fit_path.write_text(json.dumps(holder[""]), encoding="utf-8")
+            for argv, outputs in fit_commands(fit_path, Path(tmp)):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                err = err.getvalue()
+                assert code in (0, 2), (mutations, argv[0], err)
+                if code == 2:
+                    assert err.startswith(f"error[validation]: {fit_path}: "), err
+                    assert err.count("\n") == 1
+                    assert not any(path.exists() for path in outputs)
+                else:
+                    assert err == ""

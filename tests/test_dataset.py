@@ -73,6 +73,22 @@ class TestLoading:
         with pytest.raises(sl.DataValidationError, match="no such file"):
             sl.load_observations(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("column", ["n_params", "d_tokens", "loss", "x_level"])
+    def test_json_boolean_is_not_numeric(self, tmp_path, column):
+        row = {"model_id": "m1", "n_params": 1e8, "d_tokens": 1e9, "loss": 2.5, "x_level": 40}
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps([dict(row, **{column: True})]), encoding="utf-8")
+        with pytest.raises(sl.DataValidationError,
+                           match=f"row 0: {column}='true' is not numeric"):
+            sl.load_observations(path)
+
+    @pytest.mark.parametrize("name", ["obs.csv", "obs.json"])
+    def test_undecodable_text_names_the_file(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe" + "model_id,n_params,d_tokens,loss\n".encode("utf-16-le"))
+        with pytest.raises(sl.DataValidationError, match=f"{name}: not UTF-8 text"):
+            sl.load_observations(path)
+
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "obs.json"
         payload = [

@@ -286,6 +286,14 @@ class TestDetectBasin:
         assert not report.has_interior_minimum
         assert report.boundary_min
 
+    def test_axis_without_classified_slice_reads_mixed(self):
+        """A constant grid has no decreasing, increasing or u_shaped slice."""
+        params = sl.ParamVector("chinchilla", (1e-300, 1e-300, 1.0, 0.5, 0.5))
+        grid = sl.grid_eval(sl.get_law("chinchilla"), params, sl.GridSpec(1, 100, 1, 100, 5, 5))
+        assert np.all(grid.values == 1.0)
+        report = sl.detect_basin(grid)
+        assert (report.monotonic_n, report.monotonic_d) == ("mixed", "mixed")
+
     def test_undersized_grid_rejected(self):
         values = np.ones((2, 3))
         with pytest.raises(sl.DataValidationError):

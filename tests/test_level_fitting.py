@@ -143,6 +143,19 @@ class TestSplitOnce:
             assert not called & banned, function.name
             assert "fit" not in called or function.name == "cmd_fit", function.name
 
+    def test_cli_parses_no_input_file(self):
+        """Input files are read by the library; cmd_grid and cmd_report get
+        their FitResult from one read_fit call."""
+        tree = ast.parse(Path(scalelaws.cli.__file__).read_text(encoding="utf-8"))
+        banned = {"load", "loads", "fit_result_from_dict", "read_text"}
+        for function in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+            called = [node.func.attr if isinstance(node.func, ast.Attribute)
+                      else getattr(node.func, "id", None)
+                      for node in ast.walk(function) if isinstance(node, ast.Call)]
+            assert not set(called) & banned, function.name
+            reads = 1 if function.name in ("cmd_grid", "cmd_report") else 0
+            assert called.count("read_fit") == reads, function.name
+
 
 class TestLevels:
     def test_level_free_table_extrapolates_as_one_level(self, tmp_path, capsys):
