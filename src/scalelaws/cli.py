@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
+from contextlib import ExitStack, contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,6 +39,7 @@ from .fitter import FitConfig, fit, read_fit
 from .landscape import GridSpec, detect_basin, exponent_report, grid_eval
 from .laws import LAW_IDS, get_law, law_registry, with_orientation
 from .perturb import (
+    _replacing,
     measure_wvec,
     perturb_wvec,
     read_weights_text,
@@ -81,16 +84,30 @@ def _manifest(args: argparse.Namespace, input_paths: list[str]) -> dict:
     return manifest
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _dump_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload)
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _write_sidecar_manifest(out_path: str, manifest: dict) -> None:
-    _dump_json({"manifest": manifest}, str(out_path) + ".manifest.json")
+def _sidecar(out_path: str) -> str:
+    return str(out_path) + ".manifest.json"
+
+
+@contextmanager
+def _outputs(*paths: str):
+    """UTF-8 text files beside `paths`, all created before the block runs,
+    that replace them if it returns and are all deleted if it raises."""
+    with ExitStack() as stack:
+        files = [stack.enter_context(_replacing(path)) for path in paths]
+        yield [stack.enter_context(io.TextIOWrapper(f, encoding="utf-8", newline=""))
+               for f in files]
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -237,11 +254,12 @@ def cmd_grid(args: argparse.Namespace) -> int:
     )
     grid = grid_eval(law, result.params, spec, x=args.x, normalization=result.normalization)
     report = detect_basin(grid) if args.basin else None
-    grid.to_csv(args.out)
     manifest = _manifest(args, [args.fit])
-    _write_sidecar_manifest(args.out, manifest)
-    if report is not None:
-        _dump_json({"basin": report.to_dict(), "manifest": manifest}, args.basin)
+    with _outputs(args.out, _sidecar(args.out), *filter(None, [args.basin])) as files:
+        grid.to_csv(files[0])
+        files[1].write(_json_text({"manifest": manifest}))
+        if report is not None:
+            files[2].write(_json_text({"basin": report.to_dict(), "manifest": manifest}))
     print(f"{result.law_id}: grid {spec.n_steps}x{spec.d_steps} -> {args.out} "
           f"({grid.n_evaluable()} evaluable cells)")
     return EXIT_OK
@@ -264,11 +282,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_perturb(args: argparse.Namespace) -> int:
     segments = _parse_int_list(args.segments, "--segments") if args.segments else None
     manifest = _manifest(args, [args.infile])
-    report = perturb_wvec(args.infile, args.out, args.snr_db, args.seed, segments)
-    report_payload = report.to_dict() if segments is None else [r.to_dict() for r in report]
-    _write_sidecar_manifest(args.out, manifest)
     report_path = args.report or str(args.out) + ".report.json"
-    _dump_json({"perturb": report_payload, "manifest": manifest}, report_path)
+    with _outputs(_sidecar(args.out), report_path) as (manifest_file, report_file):
+        report = perturb_wvec(args.infile, args.out, args.snr_db, args.seed, segments)
+        report_payload = report.to_dict() if segments is None else [r.to_dict() for r in report]
+        manifest_file.write(_json_text({"manifest": manifest}))
+        report_file.write(_json_text({"perturb": report_payload, "manifest": manifest}))
     if isinstance(report_payload, dict):
         print(
             f"injected {args.snr_db} dB into {report_payload['count']} weights "
@@ -295,7 +314,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
 def cmd_wvec_pack(args: argparse.Namespace) -> int:
     weights = read_weights_text(args.infile, dtype_code=args.dtype)
     write_wvec(args.out, weights)
-    _write_sidecar_manifest(args.out, _manifest(args, [args.infile]))
+    _dump_json({"manifest": _manifest(args, [args.infile])}, _sidecar(args.out))
     print(f"packed {weights.count} {weights.dtype_code} values -> {args.out}")
     return EXIT_OK
 
@@ -303,7 +322,7 @@ def cmd_wvec_pack(args: argparse.Namespace) -> int:
 def cmd_wvec_unpack(args: argparse.Namespace) -> int:
     weights = read_wvec(args.infile)
     write_weights_text(args.out, weights)
-    _write_sidecar_manifest(args.out, _manifest(args, [args.infile]))
+    _dump_json({"manifest": _manifest(args, [args.infile])}, _sidecar(args.out))
     print(f"unpacked {weights.count} {weights.dtype_code} values -> {args.out}")
     return EXIT_OK
 

@@ -439,6 +439,8 @@ def _read_json_cells(path: Path) -> dict[str, list]:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataValidationError(f"{path}: invalid JSON ({exc})") from exc
+        except RecursionError:
+            raise DataValidationError(f"{path}: JSON nested too deeply") from None
     if not isinstance(payload, list):
         raise DataValidationError(f"{path}: expected a JSON array of objects")
     for i, item in enumerate(payload):

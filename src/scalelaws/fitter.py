@@ -3,11 +3,13 @@
 Parameters are optimized in unconstrained log coordinates u = ln(theta),
 which makes positivity structural. Each start runs a damped
 Gauss-Newton (Levenberg-Marquardt) iteration with the law's analytic
-Jacobian in those coordinates (the derivative ``LawSpec.form`` returns);
-accepted steps never increase the sum of squared residuals, damping
-grows on rejected steps and shrinks on accepted ones. The start with the
-lowest final SSE wins, ties resolving to the lowest start index, so
-results are reproducible from (data, config, seed) alone.
+Jacobian in those coordinates. One ``laws.evaluate`` call per point
+gives its residuals and a closure that builds its Jacobian once the
+point is accepted, so no point is evaluated twice. Accepted steps never
+increase the sum of squared residuals, damping grows on rejected steps
+and shrinks on accepted ones. The start with the lowest final SSE wins,
+ties resolving to the lowest start index, so results are reproducible
+from (data, config, seed) alone.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .laws import (
     LawSpec,
     ParamVector,
     apply_orientation,
-    evaluate_raw,
-    evaluate_with_jacobian,
+    evaluate,
     get_law,
     log_inputs,
     observed_x,
@@ -208,6 +209,8 @@ def read_fit(path: str) -> FitResult:
             payload = json.load(fh)
     except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError
         raise DataValidationError(f"{path}: not UTF-8 JSON ({exc})") from None
+    except RecursionError:
+        raise DataValidationError(f"{path}: JSON nested too deeply") from None
     try:
         return fit_result_from_dict(payload.get("fit", payload) if type(payload) is dict
                                     else payload)
@@ -216,10 +219,9 @@ def read_fit(path: str) -> FitResult:
 
 
 class _Objective:
-    """Precomputed arrays and residual/Jacobian maps for one fit.
-
-    The maps leave floating-point errors to the caller's np.errstate
-    (_lm_minimize ignores them and tests finiteness instead).
+    """Precomputed arrays for one fit; called on u, it returns the
+    residuals and a thunk giving their Jacobian. Both may be non-finite
+    (_lm_minimize tests finiteness).
 
     Raises:
         DataValidationError: an X-aware law without x_level on every
@@ -237,19 +239,11 @@ class _Objective:
         self.log_space = objective_space == "log_loss"
         self.target = np.log(self.y) if self.log_space else self.y
 
-    def residual(self, u: np.ndarray) -> np.ndarray:
-        pred = evaluate_raw(self.law, np.exp(u), self.n, self.d, self.x)
+    def __call__(self, u: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+        pred, derivative = evaluate(self.law, np.exp(u), self.n, self.d, self.x)
         if self.log_space:
-            return np.log(pred) - self.target
-        return pred - self.target
-
-    def jacobian(self, u: np.ndarray) -> np.ndarray:
-        pred, jac = evaluate_with_jacobian(
-            self.law, np.exp(u), self.n, self.d, self.x, self.logs
-        )
-        if self.log_space:
-            return jac / pred[:, None]
-        return jac
+            return np.log(pred) - self.target, lambda: derivative(self.logs) / pred[:, None]
+        return pred - self.target, lambda: derivative(self.logs)
 
 
 def _sse_of(residual: np.ndarray) -> float:
@@ -260,18 +254,19 @@ def _sse_of(residual: np.ndarray) -> float:
 
 
 def _lm_minimize(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
-    jacobian_fn: Callable[[np.ndarray], np.ndarray],
+    objective: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
     u0: np.ndarray,
     max_iters: int,
     tol_rel_sse: float,
     tol_grad: float,
 ) -> tuple[np.ndarray, float, int, bool]:
-    """Damped Gauss-Newton on residual_fn, starting at u0.
+    """Damped Gauss-Newton on objective, u -> (residuals, Jacobian thunk),
+    starting at u0.
 
-    Steps whose residuals come back non-finite are rejected (treated as
-    SSE = +inf), so the iteration can sit next to overflow regions
-    without aborting.
+    Each point is evaluated once: the thunk of an accepted trial gives
+    the Jacobian of the next iteration. Steps whose residuals come back
+    non-finite are rejected (treated as SSE = +inf), so the iteration can
+    sit next to overflow regions without aborting.
 
     Returns:
         (u, sse, iterations, converged)
@@ -281,7 +276,7 @@ def _lm_minimize(
     """
     u = np.clip(np.array(u0, dtype=float), -_LOG_BOUND, _LOG_BOUND)
     with np.errstate(all="ignore"):
-        r = residual_fn(u)
+        r, jacobian = objective(u)
         if not np.isfinite(r).all():
             raise FitError("non-finite residuals at the start point")
         sse = _sse_of(r)
@@ -292,7 +287,7 @@ def _lm_minimize(
         converged = False
         diagonal = np.arange(u.size)
         while iterations < max_iters:
-            jac = jacobian_fn(u)
+            jac = jacobian()
             if not np.isfinite(jac).all():
                 break
             grad = jac.T @ r
@@ -314,13 +309,13 @@ def _lm_minimize(
                     step = np.linalg.lstsq(damped, -grad, rcond=None)[0]
                 if np.isfinite(step).all():
                     u_try = np.clip(u + step, -_LOG_BOUND, _LOG_BOUND)
-                    r_try = residual_fn(u_try)
+                    r_try, jacobian_try = objective(u_try)
                     sse_try = _sse_of(r_try) if np.isfinite(r_try).all() else math.inf
                 else:
                     sse_try = math.inf
                 if sse_try <= sse:
                     improvement = sse - sse_try
-                    u, r, sse = u_try, r_try, sse_try
+                    u, r, sse, jacobian = u_try, r_try, sse_try, jacobian_try
                     lam = max(lam * _LAMBDA_DOWN, _LAMBDA_MIN)
                     accepted = True
                     if improvement <= tol_rel_sse * max(sse_try, _TINY):
@@ -385,9 +380,8 @@ def local_solve(
             f"start must be {law.n_params} finite log-coordinates for {law.law_id}"
         )
     obj = _Objective(law, data, config.objective_space)
-    u, sse, iterations, converged = _lm_minimize(
-        obj.residual, obj.jacobian, u0, config.max_iters, config.tol_rel_sse, config.tol_grad
-    )
+    u, sse, iterations, converged = _lm_minimize(obj, u0, config.max_iters,
+                                                 config.tol_rel_sse, config.tol_grad)
     params = ParamVector(law.law_id, tuple(float(v) for v in np.exp(u)))
     return params, sse, iterations, converged
 
@@ -440,12 +434,7 @@ def fit(law: LawSpec, data: ObservationSet, config: FitConfig = FitConfig()) -> 
     for index, u0 in enumerate(enumerate_starts(config, law.n_params)):
         try:
             u, sse, iterations, converged = _lm_minimize(
-                obj.residual,
-                obj.jacobian,
-                u0,
-                config.max_iters,
-                config.tol_rel_sse,
-                config.tol_grad,
+                obj, u0, config.max_iters, config.tol_rel_sse, config.tol_grad
             )
         except FitError:
             continue

@@ -36,9 +36,11 @@ means more damage.
 Each law is one row of the law table below: id, parameter names, X
 domain and one form function, which returns the law's value together
 with its analytic derivative in the log coordinates u = ln(theta) the
-fitter works in. LAW_IDS, SHANNON_FAMILY, every evaluation path and the
-fitter's Jacobian read that table; :func:`jacobian_fd` stays as the
-finite-difference oracle the derivatives are tested against.
+fitter works in. LAW_IDS and SHANNON_FAMILY read that table. One
+:func:`evaluate` call turns a form into the loss and a derivative closure
+that builds the loss Jacobian only when called, so the fitter evaluates
+each point once; :func:`jacobian_fd` stays as the finite-difference
+oracle the derivatives are tested against.
 
 Evaluation is vectorized over numpy arrays. Non-evaluable points raise
 :class:`~scalelaws.errors.LawDomainError`; infinities and NaNs never
@@ -73,7 +75,7 @@ X_POSITIVE = "positive"
 # derivative(logs), with logs = (ln n, ln d, ln x) from log_inputs,
 # closes over the value's terms and returns its u = ln(theta) gradient
 # as rows, one per parameter: d ln(bandwidth)/du and d ln(snr)/du for
-# the capacity family (combined by _capacity_gradient), dL/du for
+# the capacity family (combined into dL/du by evaluate), dL/du for
 # baselines. Gradient-only work stays inside it, so evaluation skips it;
 # it takes a point theta, never a batch.
 # ---------------------------------------------------------------------
@@ -404,67 +406,49 @@ def _capacity(bandwidth, snr):
     return bandwidth * np.log2(1.0 + snr)
 
 
-def _capacity_gradient(bandwidth, snr, grad_bandwidth, grad_snr):
-    """Loss L = 1/C and its u-gradient rows, from the log-gradients of
-    bandwidth and snr: dL/du = -L * (g_B + k * g_S) with
-    k = S / ((1 + S) ln(1 + S))."""
-    loss = 1.0 / _capacity(bandwidth, snr)
-    k = snr / ((1.0 + snr) * np.log1p(snr))
-    return loss, -loss * (grad_bandwidth + k * grad_snr)
+def evaluate(law: LawSpec, theta, n, d, x=None) -> tuple[np.ndarray, Callable]:
+    """Predicted losses and a closure for their Jacobian in u = ln(theta),
+    without domain checks: losses may be inf/NaN (the fitter rejects such
+    steps, grid evaluation masks them).
 
-
-def evaluate_raw(law: LawSpec, theta: Sequence[float], n, d, x=None) -> np.ndarray:
-    """Evaluate a law without domain checks.
-
-    Returns an array that may contain inf/NaN; used by the fitter (which
-    treats non-finite values as rejected steps) and by grid evaluation
-    (which masks error cells). Prefer :func:`predict_loss` elsewhere.
+    theta is one parameter vector (p,) or a batch (batch, p), whose losses
+    have shape (batch, n_points). derivative(logs), with
+    ``logs = log_inputs(law, n, d, x)`` and a point theta, builds the
+    [n_obs, n_params] Jacobian only when called. For the capacity family,
+    L = 1/C gives dL/du = -L * (g_B + k * g_S), with g_B and g_S the
+    log-gradients of bandwidth and snr and k = S / ((1 + S) ln(1 + S)).
     """
     if law.needs_x and x is None:
         raise LawDomainError(f"law {law.law_id} requires x")
     with np.errstate(all="ignore"):
-        value = law.form(_split_theta(theta), n, d, x, law.x_orientation)[0]
+        value, form_derivative = law.form(_split_theta(theta), n, d, x, law.x_orientation)
         if law.capacity_family:
-            value = 1.0 / _capacity(*value)
-        return np.asarray(value, dtype=float)
+            bandwidth, snr = value
+            value = 1.0 / _capacity(bandwidth, snr)
+        loss = np.asarray(value, dtype=float)
+
+    def derivative(logs):
+        with np.errstate(all="ignore"):
+            rows = form_derivative(logs)
+            if law.capacity_family:
+                grad_bandwidth, grad_snr = rows
+                k = snr / ((1.0 + snr) * np.log1p(snr))
+                rows = -loss * (grad_bandwidth + k * grad_snr)
+        return rows.T
+
+    return loss, derivative
+
+
+def evaluate_raw(law: LawSpec, theta: Sequence[float], n, d, x=None) -> np.ndarray:
+    """The loss of :func:`evaluate`, unchecked; prefer :func:`predict_loss`."""
+    return evaluate(law, theta, n, d, x)[0]
 
 
 def log_inputs(law: LawSpec, n: np.ndarray, d: np.ndarray, x: np.ndarray | None) -> tuple:
-    """(ln n, ln d, ln x) for :func:`evaluate_with_jacobian`; ln x only
-    for laws whose X domain is X > 0, else None."""
+    """(ln n, ln d, ln x) for the derivative of :func:`evaluate`; ln x
+    only for laws whose X domain is X > 0, else None."""
     ln_x = np.log(x) if law.x_domain == X_POSITIVE else None
     return np.log(n), np.log(d), ln_x
-
-
-def evaluate_with_jacobian(
-    law: LawSpec,
-    theta: np.ndarray,
-    n: np.ndarray,
-    d: np.ndarray,
-    x: np.ndarray | None,
-    logs: tuple,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted losses and their analytic Jacobian in u = ln(theta).
-
-    Args:
-        law: Law to evaluate (its orientation is honored).
-        theta: One parameter vector, shape (p,).
-        n, d, x: Inputs as 1-D arrays of equal length (x None for laws
-            without X), with X in the law's domain.
-        logs: ``log_inputs(law, n, d, x)``, computed once per data set.
-
-    Returns:
-        (loss, jac): loss of shape [n_obs], equal to :func:`evaluate_raw`
-        bit for bit, and jac of shape [n_obs, n_params]. No domain
-        checks: entries may be non-finite.
-    """
-    with np.errstate(all="ignore"):
-        value, derivative = law.form(_split_theta(theta), n, d, x, law.x_orientation)
-        if law.capacity_family:
-            value, rows = _capacity_gradient(*value, *derivative(logs))
-        else:
-            rows = derivative(logs)
-    return value, rows.T
 
 
 # ---------------------------------------------------------------------

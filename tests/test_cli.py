@@ -569,6 +569,33 @@ class TestErrorContract:
         self._assert_validation_error(code, capsys)
         assert [p.name for p in tmp_path.iterdir()] == ["fit.json"]
 
+    def test_unwritable_basin_writes_no_grid(self, tmp_path, capsys):
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps({"fit": fit_record()}), encoding="utf-8")
+        code = main(["grid", "--fit", str(fit_path), "--n-min", "1", "--n-max", "10",
+                     "--d-min", "1", "--d-max", "10", "--out", str(tmp_path / "grid.csv"),
+                     "--basin", str(tmp_path / "nodir" / "b.json")])
+        self._assert_validation_error(code, capsys)
+        assert [p.name for p in tmp_path.iterdir()] == ["fit.json"]
+
+    def test_unwritable_report_writes_no_weights(self, tmp_path, wvec, capsys):
+        code = main(["perturb", "--in", str(wvec), "--snr-db", "20",
+                     "--out", str(tmp_path / "p.wvec"),
+                     "--report", str(tmp_path / "nodir" / "r.json")])
+        self._assert_validation_error(code, capsys)
+        assert [p.name for p in tmp_path.iterdir()] == ["w.wvec"]
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--fit"], ["fit", "--law", "chinchilla", "--data"],
+    ], ids=["fit_json", "observations"])
+    def test_deeply_nested_json(self, tmp_path, capsys, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code = main([*argv, str(path), "--out", str(tmp_path / "out.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error[validation]: {path}: JSON nested too deeply\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["deep.json"]
+
 
 class TestThreadCountDeterminism:
     def _run(self, args, threads):

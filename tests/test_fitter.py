@@ -1,5 +1,6 @@
 """Multistart least squares: solver core, contracts, and recovery."""
 
+import dataclasses
 import json
 import math
 
@@ -31,7 +32,7 @@ class TestSolverCore:
             return design
 
         u, sse, iterations, converged = _lm_minimize(
-            residual, jacobian, np.zeros(3), 50, 1e-12, 1e-10
+            lambda u: (residual(u), lambda: jacobian(u)), np.zeros(3), 50, 1e-12, 1e-10
         )
         assert converged
         assert iterations <= 5
@@ -60,7 +61,7 @@ class TestSolverCore:
                 cols.append((residual(up) - residual(down)) / (2 * h))
             return np.column_stack(cols)
 
-        _lm_minimize(residual, jacobian, np.zeros(4), 40, 1e-14, 1e-12)
+        _lm_minimize(lambda u: (residual(u), lambda: jacobian(u)), np.zeros(4), 40, 1e-14, 1e-12)
         # replay: the solver's internal accepted SSE sequence is embedded
         # in the call history as a non-increasing subsequence starting at
         # the first value; verify the final SSE never exceeds the start.
@@ -71,10 +72,30 @@ class TestSolverCore:
             return np.array([np.inf])
 
         with pytest.raises(sl.FitError):
-            _lm_minimize(residual, lambda u: np.ones((1, 1)), np.zeros(1), 10, 1e-12, 1e-10)
+            _lm_minimize(lambda u: (residual(u), lambda: np.ones((1, 1))), np.zeros(1), 10,
+                         1e-12, 1e-10)
 
 
 class TestLocalSolve:
+    @pytest.mark.parametrize("law_id", list(sl.LAW_IDS))
+    def test_each_point_is_evaluated_once(self, law_id):
+        """An accepted trial's derivative closure gives the next Jacobian,
+        so the law's form never sees the same theta twice."""
+        law = sl.get_law(law_id)
+        seen = []
+
+        def recording_form(parts, *inputs):
+            seen.append(parts)
+            return law.form(parts, *inputs)
+
+        true = random_params(law, np.random.default_rng(400 + sl.LAW_IDS.index(law_id)))
+        data = grid_set(law, true, N_GRID, D_GRID, x_levels=X_LEVELS if law.needs_x else None)
+        recording = dataclasses.replace(law, form=recording_form)
+        config = FitConfig(max_iters=300, objective_space="log_loss")
+        _, _, iterations, _ = sl.local_solve(recording, data, np.zeros(law.n_params), config)
+        assert len(seen) > iterations > 1
+        assert len(set(seen)) == len(seen)
+
     def test_start_at_optimum(self):
         law = sl.get_law("chinchilla")
         true = sl.ParamVector("chinchilla", (2.0, 3.0, 1.0, 0.5, 0.5))

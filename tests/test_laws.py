@@ -11,8 +11,8 @@ import scalelaws as sl
 from scalelaws.laws import (
     AMPLIFYING,
     MITIGATING,
+    evaluate,
     evaluate_raw,
-    evaluate_with_jacobian,
     jacobian_fd_arrays,
     log_inputs,
 )
@@ -425,8 +425,8 @@ class TestGoldenPredictions:
         assert got == GOLDEN_LOSSES[(law_id, orientation)]
         theta, n, d = np.array(params.values), np.array(GOLDEN_N), np.array(GOLDEN_D)
         raw = evaluate_raw(law, theta, n, d, x)
-        with_jacobian, _ = evaluate_with_jacobian(law, theta, n, d, x, log_inputs(law, n, d, x))
-        for values in (raw, with_jacobian):
+        evaluated, _ = evaluate(law, theta, n, d, x)
+        for values in (raw, evaluated):
             assert [float(v).hex() for v in values] == GOLDEN_LOSSES[(law_id, orientation)][:3]
 
 
@@ -467,7 +467,8 @@ class TestAnalyticGradient:
         if law.capacity_family:
             (_, snr), _ = oriented.form(tuple(theta), n, d, x, oriented.x_orientation)
             assume(snr.min() >= 1e-3)
-        loss, jac = evaluate_with_jacobian(oriented, theta, n, d, x, log_inputs(oriented, n, d, x))
+        loss, derivative = evaluate(oriented, theta, n, d, x)
+        jac = derivative(log_inputs(oriented, n, d, x))
         np.testing.assert_array_equal(loss, evaluate_raw(oriented, theta, n, d, x))
         oracle = jacobian_fd_arrays(oriented, theta, n, d, x, 1e-6)
         assert jac.shape == oracle.shape == (n.size, law.n_params)

@@ -156,6 +156,21 @@ class TestSplitOnce:
             reads = 1 if function.name in ("cmd_grid", "cmd_report") else 0
             assert called.count("read_fit") == reads, function.name
 
+    def test_only_evaluate_turns_a_form_into_a_loss(self):
+        """In the library only laws.evaluate and laws._capacity_checked (which
+        needs snr and C themselves) call a law's form; the twin evaluators
+        evaluate_with_jacobian and _capacity_gradient are gone."""
+        callers, defined = set(), set()
+        for path in Path(scalelaws.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            defined |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+            for statement in tree.body:
+                callers |= {(path.stem, getattr(statement, "name", None))
+                            for node in ast.walk(statement) if isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute) and node.func.attr == "form"}
+        assert callers == {("laws", "evaluate"), ("laws", "_capacity_checked")}
+        assert not defined & {"evaluate_with_jacobian", "_capacity_gradient"}
+
 
 class TestLevels:
     def test_level_free_table_extrapolates_as_one_level(self, tmp_path, capsys):
