@@ -40,12 +40,12 @@ from .landscape import GridSpec, detect_basin, exponent_report, grid_eval
 from .laws import LAW_IDS, get_law, law_registry, with_orientation
 from .perturb import (
     _replacing,
+    _write_weights_text,
+    _write_wvec,
     measure_wvec,
     perturb_wvec,
     read_weights_text,
     read_wvec,
-    write_weights_text,
-    write_wvec,
 )
 
 EXIT_OK = 0
@@ -313,16 +313,20 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 def cmd_wvec_pack(args: argparse.Namespace) -> int:
     weights = read_weights_text(args.infile, dtype_code=args.dtype)
-    write_wvec(args.out, weights)
-    _dump_json({"manifest": _manifest(args, [args.infile])}, _sidecar(args.out))
+    manifest = _manifest(args, [args.infile])
+    with _outputs(args.out, _sidecar(args.out)) as (out_file, manifest_file):
+        _write_wvec(out_file.buffer, weights)
+        manifest_file.write(_json_text({"manifest": manifest}))
     print(f"packed {weights.count} {weights.dtype_code} values -> {args.out}")
     return EXIT_OK
 
 
 def cmd_wvec_unpack(args: argparse.Namespace) -> int:
     weights = read_wvec(args.infile)
-    write_weights_text(args.out, weights)
-    _dump_json({"manifest": _manifest(args, [args.infile])}, _sidecar(args.out))
+    manifest = _manifest(args, [args.infile])
+    with _outputs(args.out, _sidecar(args.out)) as (out_file, manifest_file):
+        _write_weights_text(out_file, weights)
+        manifest_file.write(_json_text({"manifest": manifest}))
     print(f"unpacked {weights.count} {weights.dtype_code} values -> {args.out}")
     return EXIT_OK
 

@@ -170,17 +170,28 @@ _FIT_KEYS = {
 }
 
 
+def _shown(value) -> str:
+    """The repr of a JSON value, or its type and size if the repr is long,
+    so that an error line stays short whatever the file holds."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    kind, unit = {dict: ("object", "key"), list: ("array", "item"),
+                  str: ("string", "character")}.get(type(value), ("number", "character"))
+    return f"a {len(text) if kind == 'number' else len(value)}-{unit} JSON {kind}"
+
+
 def _checked(value, keys: dict, where: str = "") -> dict:
     """`value` if it is a JSON object with exactly `keys`, each value passing its test."""
     if type(value) is not dict:
-        raise DataValidationError(f"expected a JSON object, got {value!r}")
+        raise DataValidationError(f"expected a JSON object, got {_shown(value)}")
     odd = [k for k in keys if k not in value] + [k for k in value if k not in keys]
     if odd:
         raise DataValidationError(
             f"{'missing' if odd[0] in keys else 'unexpected'} key {where}{odd[0]}")
     for key, (test, what) in keys.items():
         if not test(value[key]):
-            raise DataValidationError(f"{where}{key} must be {what}, got {value[key]!r}")
+            raise DataValidationError(f"{where}{key} must be {what}, got {_shown(value[key])}")
     return value
 
 

@@ -12,13 +12,15 @@ precision and rounded once at the end.
 
 Every pass streams the weights through fixed-size leaves of `_LEAF`
 elements: a leaf is widened to float64, checked for finiteness,
-squared, noised and written before the next one is read. Working memory
-is a few leaf-sized buffers whatever the vector length. Leaf sums are
-combined in the tree numpy's pairwise summation builds over the whole
-array, and normal draws do not depend on how they are chunked, so
-powers, noise, outputs and SNRs are bit-identical to whole-array numpy
-arithmetic. The in-memory functions (`signal_power`, `inject`,
-`inject_segmented`, `measure_snr`) and the file functions
+squared, noised and written before the next one is read. Each pass
+allocates its few leaf-sized buffers once and reuses them for every
+leaf, so working memory and page faults do not grow with the vector
+length. Buffers belong to the call, so concurrent calls share none.
+Leaf sums are combined in the tree numpy's pairwise summation builds
+over the whole array, and normal draws do not depend on how they are
+chunked, so powers, noise, outputs and SNRs are bit-identical to
+whole-array numpy arithmetic. The in-memory functions (`signal_power`,
+`inject`, `inject_segmented`, `measure_snr`) and the file functions
 (`perturb_wvec`, `measure_wvec`) share this kernel; the file functions
 never hold more than a leaf of the vector. Perturbation makes two
 passes: the first computes every segment's power and validates, so no
@@ -39,7 +41,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -58,8 +60,9 @@ _HEADER = struct.Struct("<4sBBQ")
 # 128 elements for leaf sums to match.
 _LEAF = 1 << 15
 
-# A reader returns the next m values of a vector; a writer takes the
-# next output values.
+# A reader returns the next m (at most `_LEAF`) values of a vector as a
+# view that the next read may overwrite; a writer consumes the next
+# output values before it returns, as the kernel reuses their buffer.
 _Reader = Callable[[int], np.ndarray]
 _Writer = Callable[[np.ndarray], object]
 
@@ -134,24 +137,26 @@ def _pairwise(count: int, leaf: Callable[[int], np.ndarray]) -> np.ndarray:
     return _pairwise(half, leaf) + _pairwise(count - half, leaf)
 
 
-def _sum_squares(values: np.ndarray, source: np.ndarray, where: str) -> np.float64:
-    """Sum of squares of a float64 leaf computed from `source`,
-    rejecting non-finite source values.
+def _sum_squares(values: np.ndarray, source: np.ndarray, where: str, out: np.ndarray) -> float:
+    """Sum of squares of a float64 leaf computed from `source`, squared
+    into `out` (which may be `values`), rejecting non-finite source values.
 
     The sum is finite only if every term is, and a term is finite only
     if its source values are, so the element-wise check runs only on a
     leaf whose sum is not.
     """
-    total = np.add.reduce(np.square(values))
+    total = np.add.reduce(np.square(values, out=out))
     if not np.isfinite(total) and not np.isfinite(source).all():
         raise DataValidationError(f"{where}weight vector contains non-finite values")
     return total
 
 
-def _mean_square(read: _Reader, count: int, where: str = "") -> float:
+def _mean_square(read: _Reader, count: int, squares: np.ndarray, where: str = "") -> float:
     def leaf(m: int) -> np.float64:
-        values = read(m).astype(np.float64, copy=False)
-        return _sum_squares(values, values, where)
+        values, wide = read(m), squares[:m]
+        # Widened by a copy: a mixed-dtype ufunc allocates on every call.
+        np.copyto(wide, values)
+        return _sum_squares(wide, values, where, wide)
 
     return float(_pairwise(count, leaf) / count)
 
@@ -167,17 +172,6 @@ def _array_reader(values: np.ndarray) -> _Reader:
     return read
 
 
-def _array_writer(out: np.ndarray) -> _Writer:
-    offset = 0
-
-    def write(values: np.ndarray) -> None:
-        nonlocal offset
-        out[offset:offset + values.size] = values
-        offset += values.size
-
-    return write
-
-
 def _calibrate(
     read: _Reader, count: int, segments: Sequence[int] | None, snr_db: float, where: str
 ) -> list[tuple[int, float, float]]:
@@ -188,7 +182,8 @@ def _calibrate(
         raise DataValidationError(
             f"segment lengths must be positive and sum to {count}, got {lengths}"
         )
-    powers = [_mean_square(read, length, where) for length in lengths]
+    squares = np.empty(_LEAF)
+    powers = [_mean_square(read, length, squares, where) for length in lengths]
     calibration = []
     for index, (length, p_w) in enumerate(zip(lengths, powers)):
         if p_w == 0.0:
@@ -210,6 +205,8 @@ def _inject(
     segmented: bool,
 ) -> list[PerturbReport]:
     """Pass 2: draw each segment's noise, write the perturbed values."""
+    noise_buf, wide_buf = np.empty(_LEAF), np.empty(_LEAF)
+    out_buf, finite_buf = np.empty(_LEAF, dtype), np.empty(_LEAF, bool)
     reports = []
     for index, (length, p_w, sigma2) in enumerate(calibration):
         if segmented:
@@ -219,12 +216,16 @@ def _inject(
         scale = math.sqrt(sigma2)
 
         def leaf(m: int) -> np.float64:
-            noise = rng.standard_normal(m) * scale
-            values = (read(m).astype(np.float64, copy=False) + noise).astype(dtype, copy=False)
-            if not np.isfinite(values).all():
+            noise, wide, values = noise_buf[:m], wide_buf[:m], out_buf[:m]
+            rng.standard_normal(out=noise)
+            noise *= scale
+            np.copyto(wide, read(m))
+            wide += noise
+            np.copyto(values, wide)  # rounds once to `dtype`
+            if not np.isfinite(values, out=finite_buf[:m]).all():
                 raise DataValidationError(f"snr_db {snr_db} overflows the {dtype.name} weights")
             write(values)
-            return np.add.reduce(np.square(noise))
+            return np.add.reduce(np.square(noise, out=noise))
 
         with np.errstate(over="ignore"):  # overflows are rejected as non-finite values
             p_noise = float(_pairwise(length, leaf) / length)
@@ -249,8 +250,9 @@ def _perturb_array(
 ) -> tuple[WeightVector, list[PerturbReport]]:
     calibration = _calibrate(_array_reader(w.values), w.count, segments, snr_db, "")
     out = np.empty_like(w.values)
-    reports = _inject(_array_reader(w.values), _array_writer(out), w.values.dtype,
-                      calibration, snr_db, seed, segments is not None)
+    slot = _array_reader(out)  # the next m values of `out`, as a writable view
+    reports = _inject(_array_reader(w.values), lambda values: np.copyto(slot(values.size), values),
+                      w.values.dtype, calibration, snr_db, seed, segments is not None)
     return WeightVector(out), reports
 
 
@@ -265,13 +267,16 @@ def _snr_db(
     if count != count_perturbed:
         raise DataValidationError(f"vector lengths differ: {count} vs {count_perturbed}")
 
+    wide_buf, diff_buf = np.empty(_LEAF), np.empty(_LEAF)
+
     def leaf(m: int) -> np.ndarray:
-        original = read_original(m).astype(np.float64, copy=False)
-        perturbed = read_perturbed(m).astype(np.float64, copy=False)
-        return np.array([
-            _sum_squares(original, original, where_original),
-            _sum_squares(perturbed - original, perturbed, where_perturbed),
-        ])
+        original, perturbed = read_original(m), read_perturbed(m)
+        wide, diff = wide_buf[:m], diff_buf[:m]
+        np.copyto(wide, original)
+        p_sig = _sum_squares(wide, original, where_original, diff)
+        np.copyto(diff, perturbed)
+        diff -= wide
+        return np.array([p_sig, _sum_squares(diff, perturbed, where_perturbed, diff)])
 
     p_sig, p_diff = (float(v) for v in _pairwise(count, leaf) / count)
     if p_sig == 0.0:
@@ -287,7 +292,7 @@ def _snr_db(
 
 def signal_power(w: WeightVector) -> float:
     """Mean squared weight, accumulated in double precision."""
-    return _mean_square(_array_reader(w.values), w.count)
+    return _mean_square(_array_reader(w.values), w.count, np.empty(_LEAF))
 
 
 def noise_sigma2(p_w: float, snr_db: float) -> float:
@@ -383,13 +388,14 @@ def _open_wvec(path: str | Path) -> Iterator[tuple[BinaryIO, int, int]]:
 
 
 def _file_reader(fh: BinaryIO, dtype_code: int, path: str | Path) -> _Reader:
-    """_Reader over the payload from its start."""
-    dtype = _CODE_DTYPES[dtype_code]
+    """_Reader over the payload from its start, reading every leaf into
+    one buffer."""
+    buf = np.empty(_LEAF, _CODE_DTYPES[dtype_code])
     fh.seek(_HEADER.size)
 
     def read(m: int) -> np.ndarray:
-        values = np.fromfile(fh, dtype=dtype, count=m)
-        if values.size != m:
+        values = buf[:m]
+        if fh.readinto(values) != values.nbytes:
             raise DataValidationError(f"{path}: payload ended early")
         return values
 
@@ -459,11 +465,14 @@ def measure_wvec(original: str | Path, perturbed: str | Path) -> tuple[float, in
 
 def write_wvec(path: str | Path, w: WeightVector) -> None:
     """Write the binary weight container (bit-exact, little endian)."""
-    dtype = _CODE_DTYPES[_DTYPE_CODES[w.dtype_code]]
-    header = _HEADER.pack(WVEC_MAGIC, WVEC_VERSION, _DTYPE_CODES[w.dtype_code], w.count)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(w.values, dtype=dtype))
+        _write_wvec(fh, w)
+
+
+def _write_wvec(fh: BinaryIO, w: WeightVector) -> None:
+    code = _DTYPE_CODES[w.dtype_code]
+    fh.write(_HEADER.pack(WVEC_MAGIC, WVEC_VERSION, code, w.count))
+    fh.write(np.ascontiguousarray(w.values, dtype=_CODE_DTYPES[code]))
 
 
 def read_wvec(path: str | Path) -> WeightVector:
@@ -477,9 +486,13 @@ def write_weights_text(path: str | Path, w: WeightVector) -> None:
 
     Text is built and written `_LEAF` values at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, w.count, _LEAF):
-            fh.write("\n".join(map(repr, w.values[start:start + _LEAF].tolist())))
-            fh.write("\n")
+        _write_weights_text(fh, w)
+
+
+def _write_weights_text(fh: TextIO, w: WeightVector) -> None:
+    for start in range(0, w.count, _LEAF):
+        fh.write("\n".join(map(repr, w.values[start:start + _LEAF].tolist())))
+        fh.write("\n")
 
 
 def read_weights_text(path: str | Path, dtype_code: str = "f64") -> WeightVector:

@@ -585,6 +585,18 @@ class TestErrorContract:
         self._assert_validation_error(code, capsys)
         assert [p.name for p in tmp_path.iterdir()] == ["w.wvec"]
 
+    @pytest.mark.parametrize("command", ["wvec-pack", "wvec-unpack"])
+    def test_failed_manifest_writes_no_output(self, tmp_path, wvec, capsys, command):
+        text = tmp_path / "w.txt"
+        text.write_text("1.5\n-2.0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        (tmp_path / "out.manifest.json").mkdir()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        source = text if command == "wvec-pack" else wvec
+        code = main([command, "--in", str(source), "--out", str(out)])
+        self._assert_validation_error(code, capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("argv", [
         ["report", "--fit"], ["fit", "--law", "chinchilla", "--data"],
     ], ids=["fit_json", "observations"])
@@ -769,6 +781,20 @@ class TestFitJsonReader:
             assert message in err
             assert err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["fit.json"]
+
+    @pytest.mark.parametrize("text, shown", [
+        (json.dumps({"fit": [0.5] * 200_000}), "got a 200000-item JSON array"),
+        ("[" * 300 + "]" * 300, "got a 1-item JSON array"),
+        (json.dumps(edited(("sse",), "g" * 10_000)()), "got a 10000-character JSON string"),
+    ], ids=["long_array", "deep_array", "long_string"])
+    def test_large_values_are_named_not_printed(self, tmp_path, capsys, text, shown):
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(text, encoding="utf-8")
+        for argv, _ in fit_commands(fit_path, tmp_path):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.endswith(f"{shown}\n") and err.count("\n") == 1, err
+            assert len(err.encode()) < 200
 
     def test_bare_record_reads_as_the_fit_payload(self, tmp_path):
         bare, wrapped = tmp_path / "bare.json", tmp_path / "wrapped.json"

@@ -1,6 +1,14 @@
 """SNR-calibrated noise injection, measurement, and the WVEC container."""
 
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,6 +390,81 @@ class TestLeafKernel:
         with pytest.raises(sl.DataValidationError, match="lengths differ"):
             sl.measure_wvec(src, other)
         assert not (tmp_path / "out.wvec").exists()
+
+
+# Prints the minor page faults of perturb_wvec and of measure_wvec on
+# each WVEC file named in argv, after one uncounted round on the first.
+_FAULT_PROBE = """
+import json, resource, sys
+import scalelaws as sl
+
+def faults(call):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+counts = []
+for src in [sys.argv[1], *sys.argv[1:]]:
+    out = src + ".out"
+    counts.append([faults(lambda: sl.perturb_wvec(src, out, 20.0, 1)),
+                   faults(lambda: sl.measure_wvec(src, out))])
+print(json.dumps(counts[1:]))
+"""
+
+
+class TestLeafBuffers:
+    """Each pass reuses its own leaf buffers."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="heap trimming is forced through glibc's MALLOC_ variables")
+    def test_page_faults_do_not_grow_with_file_size(self, tmp_path):
+        # With trimming forced, a temporary freed at the top of the heap
+        # goes back to the system, so a pass that allocates per leaf
+        # faults its pages in again on every leaf.
+        paths = []
+        for n in (1 << 20, 1 << 22):
+            paths.append(str(tmp_path / f"w{n}.wvec"))
+            sl.write_wvec(paths[-1], sl.WeightVector(spread_values(n, np.float32)))
+        src = str(Path(sl.__file__).resolve().parents[1])
+        env = dict(os.environ, MALLOC_TRIM_THRESHOLD_="0", MALLOC_MMAP_THRESHOLD_="1048576",
+                   MALLOC_TOP_PAD_="0")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, *paths], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        small, large = json.loads(proc.stdout)
+        for command, a, b in zip(("perturb", "measure"), small, large):
+            assert b - a < 500, (command, small, large)
+
+    def test_concurrent_calls_match_serial_calls(self, tmp_path):
+        def run(index, tag):
+            src = tmp_path / f"w{index}.wvec"
+            out = tmp_path / f"p{index}.{tag}.wvec"
+            segments = [LEAF + index, 2 * LEAF - index + 3] if index % 2 else None
+            report = sl.perturb_wvec(src, out, 10.0 + index, index, segments)
+            return out.read_bytes(), report, sl.measure_wvec(src, out)
+
+        jobs = range(4)  # more threads than a small machine has cores
+        for index in jobs:
+            dtype = np.float32 if index < 2 else np.float64
+            sl.write_wvec(tmp_path / f"w{index}.wvec",
+                          sl.WeightVector(spread_values(3 * LEAF + 3, dtype, seed=index)))
+        serial = [run(index, "serial") for index in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(3):
+                start = threading.Barrier(len(jobs))
+
+                def together(index, tag):
+                    start.wait(timeout=60)
+                    return run(index, tag)
+
+                with ThreadPoolExecutor(len(jobs)) as pool:
+                    futures = [pool.submit(together, index, f"t{round_}") for index in jobs]
+                    assert [f.result(timeout=60) for f in futures] == serial, round_
+        finally:
+            sys.setswitchinterval(interval)
 
 
 @st.composite
