@@ -299,8 +299,6 @@ def _lm_minimize(
         diagonal = np.arange(u.size)
         while iterations < max_iters:
             jac = jacobian()
-            if not np.isfinite(jac).all():
-                break
             grad = jac.T @ r
             jtj = jac.T @ jac
             if not (np.isfinite(grad).all() and np.isfinite(jtj).all()):
@@ -321,7 +319,7 @@ def _lm_minimize(
                 if np.isfinite(step).all():
                     u_try = np.clip(u + step, -_LOG_BOUND, _LOG_BOUND)
                     r_try, jacobian_try = objective(u_try)
-                    sse_try = _sse_of(r_try) if np.isfinite(r_try).all() else math.inf
+                    sse_try = _sse_of(r_try)
                 else:
                     sse_try = math.inf
                 if sse_try <= sse:
