@@ -7,7 +7,10 @@ Jacobian in those coordinates. One ``laws.evaluate`` call per point
 gives its residuals and a closure that builds its Jacobian once the
 point is accepted, so no point is evaluated twice. Accepted steps never
 increase the sum of squared residuals, damping grows on rejected steps
-and shrinks on accepted ones. The start with the lowest final SSE wins,
+and shrinks on accepted ones. A start converges when its SSE or its
+gradient stops changing, and also stops, unconverged, when it stalls
+(its SSE fell by at most 1e-5 of itself over its last 30 iterations) or
+reaches the iteration cap. The start with the lowest final SSE wins,
 ties resolving to the lowest start index, so results are reproducible
 from (data, config, seed) alone.
 """
@@ -46,6 +49,10 @@ _LAMBDA_DOWN = 0.25
 _LAMBDA_MIN = 1e-14
 _LAMBDA_MAX = 1e15
 _TINY = 1e-300
+# A start stalls, and stops, when its SSE fell by at most _STALL_TOL x SSE
+# over its last _STALL_WINDOW iterations.
+_STALL_WINDOW = 30
+_STALL_TOL = 1e-5
 
 # Log-coordinate box: exp stays a positive normal double, so parameters
 # can shrink to ~1e-299 (effectively zero) without ever reaching 0.
@@ -68,7 +75,9 @@ class FitConfig:
         random_starts: Additional log-uniform starts in
             [RANDOM_START_LOW, RANDOM_START_HIGH].
         seed: Seeds the random starts only.
-        max_iters: Iteration cap per start.
+        max_iters: Iteration cap per start. A start also stops when it
+            stalls (see _lm_minimize); a capped or stalled start is not
+            converged.
         tol_rel_sse: Convergence on relative SSE improvement.
         tol_grad: Convergence on the max-norm of the gradient J^T r.
         objective_space: "loss" fits raw losses; "log_loss" fits their
@@ -279,6 +288,12 @@ def _lm_minimize(
     non-finite are rejected (treated as SSE = +inf), so the iteration can
     sit next to overflow regions without aborting.
 
+    The start converges when an accepted step improves the SSE by at
+    most tol_rel_sse x SSE or the gradient's max-norm is at most
+    tol_grad. It stops unconverged when it stalls (its SSE fell by at
+    most _STALL_TOL x SSE over its last _STALL_WINDOW iterations), after
+    max_iters iterations, or when no finite step lowers the SSE.
+
     Returns:
         (u, sse, iterations, converged)
 
@@ -297,6 +312,7 @@ def _lm_minimize(
         iterations = 0
         converged = False
         diagonal = np.arange(u.size)
+        history = [sse]  # the SSE before the first iteration and after each one
         while iterations < max_iters:
             jac = jacobian()
             grad = jac.T @ r
@@ -335,6 +351,9 @@ def _lm_minimize(
                     break
             iterations += 1
             if converged or not accepted:
+                break
+            history.append(sse)
+            if iterations >= _STALL_WINDOW and history[-1 - _STALL_WINDOW] - sse <= _STALL_TOL * sse:
                 break
     return u, sse, iterations, converged
 

@@ -35,6 +35,7 @@ values. A one-value-per-line text form is supported for small vectors.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import struct
@@ -406,8 +407,13 @@ def _file_reader(fh: BinaryIO, dtype_code: int, path: str | Path) -> _Reader:
 def _replacing(path: str | Path) -> Iterator[BinaryIO]:
     """A new file beside `path` that replaces it when the block exits
     normally and is deleted when it raises, so `path` is never left
-    half-written and may also be the file being read."""
+    half-written and may also be the file being read. A directory at
+    `path`, which the rename could not replace, is refused before the
+    new file is made, so a group of outputs fails before any of them is
+    renamed into place."""
     path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "xb")
     try:

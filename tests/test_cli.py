@@ -585,15 +585,23 @@ class TestErrorContract:
         self._assert_validation_error(code, capsys)
         assert [p.name for p in tmp_path.iterdir()] == ["w.wvec"]
 
-    @pytest.mark.parametrize("command", ["wvec-pack", "wvec-unpack"])
+    @pytest.mark.parametrize("command", ["wvec-pack", "wvec-unpack", "grid", "perturb"])
     def test_failed_manifest_writes_no_output(self, tmp_path, wvec, capsys, command):
         text = tmp_path / "w.txt"
         text.write_text("1.5\n-2.0\n", encoding="utf-8")
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps({"fit": fit_record()}), encoding="utf-8")
         out = tmp_path / "out"
         (tmp_path / "out.manifest.json").mkdir()
         before = sorted(p.name for p in tmp_path.iterdir())
-        source = text if command == "wvec-pack" else wvec
-        code = main([command, "--in", str(source), "--out", str(out)])
+        inputs = {
+            "wvec-pack": ["--in", str(text)],
+            "wvec-unpack": ["--in", str(wvec)],
+            "grid": ["--fit", str(fit_path), "--n-min", "1", "--n-max", "10", "--d-min", "1",
+                     "--d-max", "10", "--basin", str(tmp_path / "b.json")],
+            "perturb": ["--in", str(wvec), "--snr-db", "20"],
+        }[command]
+        code = main([command, *inputs, "--out", str(out)])
         self._assert_validation_error(code, capsys)
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import scalelaws as sl
-from scalelaws.fitter import _lm_minimize, enumerate_starts, fit_result_from_dict, FitConfig
+from scalelaws.fitter import (
+    _STALL_TOL,
+    _STALL_WINDOW,
+    FitConfig,
+    _lm_minimize,
+    enumerate_starts,
+    fit_result_from_dict,
+)
 
 from synth import X_LEVELS, grid_set, random_params
 
@@ -66,6 +73,34 @@ class TestSolverCore:
         # in the call history as a non-increasing subsequence starting at
         # the first value; verify the final SSE never exceeds the start.
         assert history[-1] <= history[0] + 1e-12
+
+    def test_creeping_start_stops_when_it_stalls(self):
+        """Gauss-Newton converges linearly, at a rate near rho, on this
+        large-residual problem (Dennis & Schnabel, Example 10.2.4). The
+        start stops, unconverged, at the first iteration whose SSE fell by
+        at most _STALL_TOL x SSE over the last _STALL_WINDOW iterations."""
+        rho = 0.99
+        history = []  # the SSE at the start of each iteration
+
+        def objective(u):
+            x = u[0]
+            r = np.array([x + 1.0, rho * x * x + x - 1.0])
+
+            def jacobian():
+                history.append(float(r @ r))
+                return np.array([[1.0], [2.0 * rho * x + 1.0]])
+
+            return r, jacobian
+
+        _, sse, iterations, converged = _lm_minimize(objective, np.array([1.0]), 10000,
+                                                     1e-12, 1e-10)
+        history.append(sse)
+        assert not converged
+        assert len(history) == iterations + 1
+        assert _STALL_WINDOW < iterations <= 100
+        drops = [history[k - _STALL_WINDOW] - history[k] - _STALL_TOL * history[k]
+                 for k in range(_STALL_WINDOW, iterations + 1)]
+        assert drops[-1] <= 0 < min(drops[:-1])
 
     def test_nonfinite_start_raises(self):
         def residual(u):
