@@ -49,8 +49,6 @@ _LAMBDA_DOWN = 0.25
 _LAMBDA_MIN = 1e-14
 _LAMBDA_MAX = 1e15
 _TINY = 1e-300
-# A start stalls, and stops, when its SSE fell by at most _STALL_TOL x SSE
-# over its last _STALL_WINDOW iterations.
 _STALL_WINDOW = 30
 _STALL_TOL = 1e-5
 
@@ -353,7 +351,8 @@ def _lm_minimize(
             if converged or not accepted:
                 break
             history.append(sse)
-            if iterations >= _STALL_WINDOW and history[-1 - _STALL_WINDOW] - sse <= _STALL_TOL * sse:
+            if (iterations >= _STALL_WINDOW
+                    and history[-1 - _STALL_WINDOW] - sse <= _STALL_TOL * sse):
                 break
     return u, sse, iterations, converged
 
