@@ -75,8 +75,8 @@ class TestSolverCore:
         assert history[-1] <= history[0] + 1e-12
 
     def test_creeping_start_stops_when_it_stalls(self):
-        """Gauss-Newton converges linearly, at a rate near rho, on this
-        large-residual problem (Dennis & Schnabel, Example 10.2.4). The
+        """Gauss-Newton converges only linearly, and slowly for rho near 1,
+        on this large-residual problem (Dennis & Schnabel, Example 10.2.4). The
         start stops, unconverged, at the first iteration whose SSE fell by
         at most _STALL_TOL x SSE over the last _STALL_WINDOW iterations."""
         rho = 0.99
@@ -98,9 +98,10 @@ class TestSolverCore:
         assert not converged
         assert len(history) == iterations + 1
         assert _STALL_WINDOW < iterations <= 100
-        drops = [history[k - _STALL_WINDOW] - history[k] - _STALL_TOL * history[k]
-                 for k in range(_STALL_WINDOW, iterations + 1)]
-        assert drops[-1] <= 0 < min(drops[:-1])
+        # How far each window's SSE drop exceeds the stall threshold.
+        excess = [history[k - _STALL_WINDOW] - history[k] - _STALL_TOL * history[k]
+                  for k in range(_STALL_WINDOW, iterations + 1)]
+        assert excess[-1] <= 0 < min(excess[:-1])
 
     def test_nonfinite_start_raises(self):
         def residual(u):
