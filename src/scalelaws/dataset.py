@@ -321,11 +321,11 @@ class ObservationSet:
 
 def load_observations(
     path: str | Path,
-    format: str | None = None,
     level_key: str = "x_level",
     normalization: Normalization | None = None,
 ) -> ObservationSet:
-    """Load observations from a CSV or JSON file.
+    """Load observations from a CSV or JSON file: JSON when the extension
+    is .json (in any case), CSV otherwise.
 
     CSV: UTF-8 (a byte-order mark is accepted), header row, columns
     model_id, n_params, d_tokens, loss plus optional x_level and
@@ -339,7 +339,6 @@ def load_observations(
 
     Args:
         path: Input file.
-        format: "csv" or "json"; inferred from the extension when None.
         level_key: Field defining perturbation groups.
         normalization: Divisors for N and D; defaults to 1e9 for both.
 
@@ -353,16 +352,12 @@ def load_observations(
     path = Path(path)
     if not path.exists():
         raise DataValidationError(f"no such file: {path}")
-    if format is None:
-        format = "json" if path.suffix.lower() == ".json" else "csv"
-    if format not in ("csv", "json"):
-        raise DataValidationError(f"format must be 'csv' or 'json', got {format!r}")
 
     try:
-        if format == "csv":
-            cells, first_row_no = _read_csv_cells(path), 1
-        else:
+        if path.suffix.lower() == ".json":
             cells, first_row_no = _read_json_cells(path), 0
+        else:
+            cells, first_row_no = _read_csv_cells(path), 1
     except UnicodeDecodeError as exc:
         raise DataValidationError(f"{path}: not UTF-8 text ({exc})") from None
     rows = len(cells["model_id"])

@@ -51,6 +51,9 @@ _LAMBDA_MAX = 1e15
 _TINY = 1e-300
 _STALL_WINDOW = 30
 _STALL_TOL = 1e-5
+_TOL_REL_SSE = 1e-12
+_TOL_GRAD = 1e-10
+_INIT_VALUES = (1.0, 0.1)
 
 # Log-coordinate box: exp stays a positive normal double, so parameters
 # can shrink to ~1e-299 (effectively zero) without ever reaching 0.
@@ -62,52 +65,40 @@ RANDOM_START_HIGH = 1e2
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Multistart and convergence settings.
+    """Multistart and iteration settings (the tolerances are fixed).
 
     Attributes:
         starts: Number of primary starts. Filled first by coordinate-wise
-            combinations of `init_values` in lexicographic order, then by
-            log-uniform random starts if the combinations run out.
-        init_values: Values combined coordinate-wise for the
-            deterministic starts (identical across seeds).
+            combinations of 1.0 and 0.1 in lexicographic order (identical
+            across seeds), then by log-uniform random starts if the
+            combinations run out.
         random_starts: Additional log-uniform starts in
             [RANDOM_START_LOW, RANDOM_START_HIGH].
         seed: Seeds the random starts only.
         max_iters: Iteration cap per start. A start also stops when it
             stalls (see _lm_minimize); a capped or stalled start is not
             converged.
-        tol_rel_sse: Convergence on relative SSE improvement.
-        tol_grad: Convergence on the max-norm of the gradient J^T r.
         objective_space: "loss" fits raw losses; "log_loss" fits their
             natural logs (useful when losses span orders of magnitude).
         x_orientation: Override of the law's X orientation for this fit.
     """
 
     starts: int = 16
-    init_values: tuple[float, ...] = (1.0, 0.1)
     random_starts: int = 0
     seed: int = 0
     max_iters: int = 10000
-    tol_rel_sse: float = 1e-12
-    tol_grad: float = 1e-10
     objective_space: str = "loss"
     x_orientation: str | None = None
 
     def __post_init__(self) -> None:
         if self.starts < 1:
             raise DataValidationError(f"starts must be >= 1, got {self.starts}")
-        if len(self.init_values) == 0 or any(
-            not (math.isfinite(v) and v > 0) for v in self.init_values
-        ):
-            raise DataValidationError("init_values must be positive finite reals")
         if self.random_starts < 0:
             raise DataValidationError(f"random_starts must be >= 0, got {self.random_starts}")
         if self.seed < 0:
             raise DataValidationError(f"seed must be an unsigned integer, got {self.seed}")
         if self.max_iters < 1:
             raise DataValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol_rel_sse > 0 or not self.tol_grad > 0:
-            raise DataValidationError("tolerances must be positive")
         if self.objective_space not in OBJECTIVE_SPACES:
             raise DataValidationError(
                 f"objective_space must be one of {OBJECTIVE_SPACES}, got "
@@ -237,24 +228,33 @@ def read_fit(path: str) -> FitResult:
 
 
 class _Objective:
-    """Precomputed arrays for one fit; called on u, it returns the
-    residuals and a thunk giving their Jacobian. Both may be non-finite
-    (_lm_minimize tests finiteness).
+    """Precomputed arrays for fitting `law`, oriented as `config` says, to
+    `data`; called on u, it returns the residuals and a thunk giving their
+    Jacobian. Both may be non-finite (_lm_minimize tests finiteness).
 
     Raises:
-        DataValidationError: an X-aware law without x_level on every
-            observation.
+        DataValidationError: empty data, or an X-aware law without
+            x_level on every observation.
+        FitError: fewer observations than parameters.
         LawDomainError: X outside the law's domain (e.g. x <= 0 for qid).
     """
 
-    def __init__(self, law: LawSpec, data: ObservationSet, objective_space: str):
+    def __init__(self, law: LawSpec, data: ObservationSet, config: FitConfig):
+        law = apply_orientation(law, config.x_orientation)
+        if len(data) == 0:
+            raise DataValidationError("cannot fit an empty observation set")
+        if len(data) < law.n_params:
+            raise FitError(
+                f"{law.law_id} has {law.n_params} parameters but only "
+                f"{len(data)} observations are available"
+            )
         self.law = law
         self.n = data.n_norm()
         self.d = data.d_norm()
         self.x = law.check_x(observed_x(law, data))
         self.logs = log_inputs(law, self.n, self.d, self.x)
         self.y = data.losses()
-        self.log_space = objective_space == "log_loss"
+        self.log_space = config.objective_space == "log_loss"
         self.target = np.log(self.y) if self.log_space else self.y
 
     def __call__(self, u: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
@@ -262,6 +262,9 @@ class _Objective:
         if self.log_space:
             return np.log(pred) - self.target, lambda: derivative(self.logs) / pred[:, None]
         return pred - self.target, lambda: derivative(self.logs)
+
+    def params(self, u: np.ndarray) -> ParamVector:
+        return ParamVector(self.law.law_id, tuple(float(v) for v in np.exp(u)))
 
 
 def _sse_of(residual: np.ndarray) -> float:
@@ -275,8 +278,6 @@ def _lm_minimize(
     objective: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
     u0: np.ndarray,
     max_iters: int,
-    tol_rel_sse: float,
-    tol_grad: float,
 ) -> tuple[np.ndarray, float, int, bool]:
     """Damped Gauss-Newton on objective, u -> (residuals, Jacobian thunk),
     starting at u0.
@@ -287,8 +288,8 @@ def _lm_minimize(
     sit next to overflow regions without aborting.
 
     The start converges when an accepted step improves the SSE by at
-    most tol_rel_sse x SSE or the gradient's max-norm is at most
-    tol_grad. It stops unconverged when it stalls (its SSE fell by at
+    most _TOL_REL_SSE x SSE or the gradient's max-norm is at most
+    _TOL_GRAD. It stops unconverged when it stalls (its SSE fell by at
     most _STALL_TOL x SSE over its last _STALL_WINDOW iterations), after
     max_iters iterations, or when no finite step lowers the SSE.
 
@@ -317,7 +318,7 @@ def _lm_minimize(
             jtj = jac.T @ jac
             if not (np.isfinite(grad).all() and np.isfinite(jtj).all()):
                 break
-            if float(np.abs(grad).max()) <= tol_grad:
+            if float(np.abs(grad).max()) <= _TOL_GRAD:
                 converged = True
                 break
             diag = jtj.diagonal()
@@ -341,7 +342,7 @@ def _lm_minimize(
                     u, r, sse, jacobian = u_try, r_try, sse_try, jacobian_try
                     lam = max(lam * _LAMBDA_DOWN, _LAMBDA_MIN)
                     accepted = True
-                    if improvement <= tol_rel_sse * max(sse_try, _TINY):
+                    if improvement <= _TOL_REL_SSE * max(sse_try, _TINY):
                         converged = True
                     break
                 lam *= _LAMBDA_UP
@@ -360,13 +361,13 @@ def _lm_minimize(
 def enumerate_starts(config: FitConfig, n_params: int) -> list[np.ndarray]:
     """Start points in log coordinates, deterministic given the config.
 
-    The first `starts` points are coordinate-wise combinations of
-    `init_values` in lexicographic order; if fewer combinations exist,
+    The first `starts` points are coordinate-wise combinations of 1.0
+    and 0.1 in lexicographic order; if fewer combinations exist,
     log-uniform random points fill the remainder. `random_starts` more
     random points follow. Only the random points depend on the seed.
     """
     combos = itertools.islice(
-        itertools.product(config.init_values, repeat=n_params), config.starts
+        itertools.product(_INIT_VALUES, repeat=n_params), config.starts
     )
     starts = [np.log(np.asarray(c, dtype=float)) for c in combos]
     n_random = (config.starts - len(starts)) + config.random_starts
@@ -392,25 +393,26 @@ def local_solve(
         law: Law to fit.
         data: Observations.
         start: Start point in log coordinates (ln of the parameters).
-        config: Convergence settings (multistart fields are ignored).
+        config: Iteration settings (multistart fields are ignored).
 
     Returns:
         (params, sse, iterations, converged), params in raw coordinates.
 
     Raises:
-        FitError: non-finite start or non-finite residuals at the start.
+        DataValidationError: empty data, missing x_level for an X law.
+        FitError: fewer observations than parameters, a start that is
+            not n_params finite values, or non-finite residuals at the
+            start.
     """
-    law = apply_orientation(law, config.x_orientation)
+    obj = _Objective(law, data, config)
+    law = obj.law
     u0 = np.asarray(start, dtype=float)
     if u0.shape != (law.n_params,) or not np.all(np.isfinite(u0)):
         raise FitError(
             f"start must be {law.n_params} finite log-coordinates for {law.law_id}"
         )
-    obj = _Objective(law, data, config.objective_space)
-    u, sse, iterations, converged = _lm_minimize(obj, u0, config.max_iters,
-                                                 config.tol_rel_sse, config.tol_grad)
-    params = ParamVector(law.law_id, tuple(float(v) for v in np.exp(u)))
-    return params, sse, iterations, converged
+    u, sse, iterations, converged = _lm_minimize(obj, u0, config.max_iters)
+    return obj.params(u), sse, iterations, converged
 
 
 def residuals(
@@ -447,25 +449,14 @@ def fit(law: LawSpec, data: ObservationSet, config: FitConfig = FitConfig()) -> 
         FitError: fewer observations than parameters, or all starts
             diverged.
     """
-    law = apply_orientation(law, config.x_orientation)
-    if len(data) == 0:
-        raise DataValidationError("cannot fit an empty observation set")
-    if len(data) < law.n_params:
-        raise FitError(
-            f"{law.law_id} has {law.n_params} parameters but only "
-            f"{len(data)} observations are available"
-        )
-    obj = _Objective(law, data, config.objective_space)
+    obj = _Objective(law, data, config)
+    law = obj.law
 
     best: tuple[int, np.ndarray, float, int, bool] | None = None
     for index, u0 in enumerate(enumerate_starts(config, law.n_params)):
         try:
-            u, sse, iterations, converged = _lm_minimize(
-                obj, u0, config.max_iters, config.tol_rel_sse, config.tol_grad
-            )
+            u, sse, iterations, converged = _lm_minimize(obj, u0, config.max_iters)
         except FitError:
-            continue
-        if not math.isfinite(sse):
             continue
         if best is None or sse < best[2]:
             best = (index, u, sse, iterations, converged)
@@ -473,7 +464,7 @@ def fit(law: LawSpec, data: ObservationSet, config: FitConfig = FitConfig()) -> 
         raise FitError(f"{law.law_id}: every start diverged (non-finite SSE)")
 
     index, u, sse, iterations, converged = best
-    params = ParamVector(law.law_id, tuple(float(v) for v in np.exp(u)))
+    params = obj.params(u)
     predictions = predict_dataset(law, params, data)
     try:
         r2_train = r_squared(EvalPairs.of(predictions, data.losses()))

@@ -11,7 +11,6 @@ cell with a golden-section search.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -112,11 +111,6 @@ class LossGrid:
             losses = ["" if bad else repr(v) for v, bad in zip(row.tolist(), errors.tolist())]
             destination.write("".join(
                 [f"{prefix},{d},{loss}\r\n" for d, loss in zip(d_fields, losses)]))
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 def grid_eval(

@@ -159,8 +159,9 @@ class TestGridEval:
         values = np.array([[1.0, 2.0], [3.0, 4.0]])
         mask = np.array([[False, True], [False, False]])
         grid = synthetic_grid(values, mask)
-        text = grid.to_csv_text()
-        rows = list(csv.reader(io.StringIO(text)))
+        buf = io.StringIO()
+        grid.to_csv(buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))
         assert rows[0] == ["n", "d", "loss"]
         assert len(rows) == 5
         # row-major: n outer, d inner
@@ -173,8 +174,8 @@ class TestGridEval:
            d_steps=st.sampled_from([1, 2, 7]), spacing=st.sampled_from(SPACINGS))
     def test_csv_bytes_match_csv_writer(self, tmp_path_factory, data, n_steps, d_steps,
                                         spacing):
-        """to_csv_text and to_csv(path) write exactly what one csv.writer
-        row per cell writes, for any shape, mask and float magnitude."""
+        """to_csv, to a text stream and to a path, writes exactly what one
+        csv.writer row per cell writes, for any shape, mask and float magnitude."""
         axis = np.geomspace if spacing == "log" else np.linspace
         low = st.floats(5e-324, 1e300)  # subnormal to huge
         spread = st.floats(1.0, 1e8, exclude_min=True)
@@ -192,7 +193,9 @@ class TestGridEval:
 
         expected = io.StringIO(newline="")
         csv_writer_rows(grid, expected)
-        assert grid.to_csv_text() == expected.getvalue()
+        buf = io.StringIO()
+        grid.to_csv(buf)
+        assert buf.getvalue() == expected.getvalue()
         path = tmp_path_factory.mktemp("grid") / "grid.csv"
         grid.to_csv(path)
         with open(path.with_suffix(".expected"), "w", newline="", encoding="utf-8") as fh:
