@@ -40,7 +40,7 @@ from .extrapolation import (
     progressive_sweep,
     run_extrapolation,
 )
-from .fitter import FitConfig, FitResult, fit, local_solve, residuals
+from .fitter import FitConfig, FitResult, fit, local_solve
 from .landscape import (
     BasinReport,
     ExponentReport,
@@ -94,7 +94,7 @@ __all__ = [
     "law_registry", "get_law", "with_orientation",
     "capacity", "predict_loss", "predict_dataset", "jacobian_fd",
     # fitter
-    "FitConfig", "FitResult", "fit", "local_solve", "residuals",
+    "FitConfig", "FitResult", "fit", "local_solve",
     # metrics
     "EvalPairs", "r_squared", "pooled_r_squared", "summarize_levels",
     # level fitting, comparison and extrapolation

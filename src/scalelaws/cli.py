@@ -202,9 +202,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
+        values = [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise DataValidationError(f"{flag} expects an integer or comma list, got {text!r}")
+    if not values:
+        raise DataValidationError(f"{flag} expects at least one integer, got {text!r}")
+    return values
 
 
 def _build_split_specs(args: argparse.Namespace) -> list[SplitSpec]:

@@ -25,6 +25,7 @@ in which no row has a level is one level, "all".
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -170,6 +171,63 @@ def _try_fit(law: LawSpec, data: ObservationSet, config: FitConfig) -> FitResult
         return exc
 
 
+FitJob = tuple[LawSpec, ObservationSet, FitConfig]
+
+# The jobs of a worker process, set by its initializer (see _run_fits).
+_worker_jobs: Sequence[FitJob] = ()
+
+
+def _set_worker_jobs(jobs: Sequence[FitJob]) -> None:
+    global _worker_jobs
+    _worker_jobs = jobs
+
+
+def _run_worker_job(index: int) -> FitResult | ScaleLawsError:
+    return _try_fit(*_worker_jobs[index])
+
+
+def _run_fits(jobs: Sequence[FitJob]) -> list[FitResult | ScaleLawsError]:
+    """`_try_fit` of each (law, data, config) job, in job order.
+
+    The jobs are independent, so they are spread over forked worker
+    processes, one per usable CPU and at most one per job. They run in
+    process instead with one worker, where the platform has no CPU
+    affinity or no fork, in a process that runs other threads (a fork
+    copies only the calling thread, so a lock another thread holds
+    would stay held in the worker) and in a daemonic process, which may
+    not have children. The results are the same either way: a worker
+    runs the same code on a copy of the same data and hands back its
+    FitResult or ScaleLawsError by pickle, which keeps every float and
+    message.
+    """
+    try:
+        workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    except AttributeError:  # no CPU affinity call: not Linux
+        workers = 1
+    if workers > 1:
+        import multiprocessing
+        import threading
+
+        if (threading.active_count() > 1 or multiprocessing.current_process().daemon
+                or "fork" not in multiprocessing.get_all_start_methods()):
+            workers = 1
+    if workers < 2:
+        return [_try_fit(*job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, unlike spawn, neither imports numpy and the package again in
+    # each worker nor pickles the jobs; a worker that dies raises
+    # BrokenProcessPool here instead of hanging
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_worker_jobs, initargs=(jobs,)) as pool:
+        return list(pool.map(_run_worker_job, range(len(jobs))))
+
+
+def _distinct(entries: Sequence[tuple[object, FitJob]]) -> list[FitJob]:
+    """The distinct jobs of `fit_levels` entries, in entry order."""
+    return list({id(job): job for _, job in entries}.values())
+
+
 def fit_levels(
     law: LawSpec,
     train: ObservationSet,
@@ -177,22 +235,24 @@ def fit_levels(
     fit_mode: str | None = None,
     groups: Sequence[tuple[object, ObservationSet]] | None = None,
     predicts: Sequence[object] = (),
-) -> tuple[str, list[tuple[object, FitResult | ScaleLawsError]]]:
-    """Fit `law` to a training set per level ("per_level") or once across
-    levels with X as a covariate ("joint_x", X-aware laws only); None
-    picks joint_x for X-aware laws and per_level otherwise.
+) -> tuple[str, list[tuple[object, FitJob]]]:
+    """Plan the fits of `law` to a training set: per level ("per_level")
+    or once across levels with X as a covariate ("joint_x", X-aware laws
+    only); None picks joint_x for X-aware laws and per_level otherwise.
 
     `groups` are the level groups of `train`, computed when omitted (a
     set in which no row has a level is one level, "all"). Returns the
-    resolved mode and one (level, fit) entry per group: the FitResult
-    that predicts the level, or the ScaleLawsError its fitting raised,
-    which does not stop the other fits. Under joint_x every entry holds
-    the one joint fit, which also predicts levels absent from training.
+    resolved mode and one (level, job) entry per group, where the job is
+    the (law, data, config) triple whose fit predicts the level; the law
+    carries config.x_orientation. Under joint_x every entry holds the
+    same job, the one joint fit, which also predicts levels absent from
+    training. Nothing is fitted here: the caller runs the distinct jobs,
+    and a job whose fitting raises a ScaleLawsError does not stop the
+    others.
 
     Raises:
         DataValidationError: an unknown mode, or joint_x without X.
-        SplitError: per_level and a level of `predicts` has no group;
-            raised before any fit.
+        SplitError: per_level and a level of `predicts` has no group.
     """
     law = apply_orientation(law, config.x_orientation)
     fit_mode = _default_fit_mode(law, fit_mode)
@@ -203,13 +263,13 @@ def fit_levels(
     if groups is None:
         groups = _level_groups(train, not train.missing_levels().all())
     if fit_mode == "joint_x":
-        joint = _try_fit(law, train, config)
+        joint = (law, train, config)
         return fit_mode, [(level, joint) for level, _ in groups]
     trained = {level for level, _ in groups}
     for level in predicts:
         if level not in trained:
             raise SplitError(f"level {level!r} has test observations but no training observations")
-    return fit_mode, [(level, _try_fit(law, group, config)) for level, group in groups]
+    return fit_mode, [(level, (law, group, config)) for level, group in groups]
 
 
 def _predict(law: LawSpec, result: FitResult | ScaleLawsError, group: ObservationSet):
@@ -309,17 +369,23 @@ def compare_laws(
 ) -> ComparisonTable:
     """In-sample R-squared of each law at each level of `data` (with
     `group_by_level`, where every row needs a level) or on the whole set
-    as one level, "all". Each law is fitted by `fit_levels` with
-    `fit_mode`; fit and scoring failures are recorded per cell.
+    as one level, "all". Each law's fits are planned by `fit_levels`
+    with `fit_mode`; fit and scoring failures are recorded per cell.
+
+    Every fit is planned before any runs, and the fits of all laws are
+    independent, so they run spread over the usable CPUs (`_run_fits`).
+    The table does not depend on how many there are.
     """
     groups = _level_groups(data, group_by_level)
+    planned = [fit_levels(law, data, config, fit_mode, groups)[1] for law in laws]
+    jobs = _distinct([entry for entries in planned for entry in entries])
+    result_of = dict(zip(map(id, jobs), _run_fits(jobs)))
     rows = []
-    for law in laws:
-        _, entries = fit_levels(law, data, config, fit_mode, groups)
-        oriented = apply_orientation(law, config.x_orientation)
+    for law, entries in zip(laws, planned):
         cells = tuple(
-            _score(lambda: EvalPairs.of(_predict(oriented, result, group), group.losses()))
-            for (_, group), (_, result) in zip(groups, entries))
+            _score(lambda: EvalPairs.of(_predict(job[0], result_of[id(job)], group),
+                                        group.losses()))
+            for (_, group), (_, job) in zip(groups, entries))
         scores = [(level, r2) for (level, _), (r2, _) in zip(groups, cells) if r2 is not None]
         rows.append((law.law_id, cells, *_summary(scores)))
     return ComparisonTable(tuple(str(level) for level, _ in groups), bool(group_by_level),
@@ -373,14 +439,16 @@ def _extrapolate(law: LawSpec, split: tuple, config: FitConfig, fit_mode: str | 
     spec, train, test, excluded, train_groups, test_groups = split
     fit_mode, entries = fit_levels(law, train, config, fit_mode, train_groups,
                                    predicts=[level for level, _ in test_groups])
-    fits = tuple({id(result): result for _, result in entries}.values())
+    jobs = _distinct(entries)
+    result_of = {id(job): _try_fit(*job) for job in jobs}
+    fits = tuple(result_of.values())
     for result in fits:
         if isinstance(result, ScaleLawsError):
             raise result
     # a level absent from training passes the check above only under
     # joint_x, where every entry holds the one joint fit
-    fit_of = dict(entries)
-    law = apply_orientation(law, config.x_orientation)
+    fit_of = {level: result_of[id(job)] for level, job in entries}
+    law = jobs[0][0]
     pairs = [EvalPairs.of(_predict(law, fit_of.get(level, fits[0]), group), group.losses(),
                           group_label=str(level))
              for level, group in test_groups]

@@ -415,28 +415,6 @@ def local_solve(
     return obj.params(u), sse, iterations, converged
 
 
-def residuals(
-    law: LawSpec,
-    params: ParamVector,
-    data: ObservationSet,
-    objective_space: str = "loss",
-) -> np.ndarray:
-    """Predicted minus observed, per observation, in data order.
-
-    In "log_loss" space both sides are logged first. Domain errors on
-    any observation propagate as LawDomainError.
-    """
-    if objective_space not in OBJECTIVE_SPACES:
-        raise DataValidationError(
-            f"objective_space must be one of {OBJECTIVE_SPACES}, got {objective_space!r}"
-        )
-    pred = predict_dataset(law, params, data)
-    obs = data.losses()
-    if objective_space == "log_loss":
-        return np.log(pred) - np.log(obs)
-    return pred - obs
-
-
 def fit(law: LawSpec, data: ObservationSet, config: FitConfig = FitConfig()) -> FitResult:
     """Multistart least-squares fit of `law` to `data`.
 

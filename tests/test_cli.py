@@ -616,13 +616,30 @@ class TestErrorContract:
         assert capsys.readouterr().err == f"error[validation]: {path}: JSON nested too deeply\n"
         assert [p.name for p in tmp_path.iterdir()] == ["deep.json"]
 
+    @pytest.mark.parametrize("mode, lists, flag", [
+        ("joint", ["--j", ",", "--k", ","], "--j"),
+        ("joint", ["--j", "8", "--k", ","], "--k"),
+        ("token", ["--j", " "], "--j"),
+        ("model", ["--k", ","], "--k"),
+    ], ids=["joint", "joint_k", "token", "model"])
+    def test_empty_split_list(self, tmp_path, capsys, mode, lists, flag):
+        """A split list with no integer is a usage error, not a sweep in
+        which every one of its zero cells failed."""
+        data = write_csv_from_set(tmp_path / "obs.csv", shannon_level_set(levels=[40.0]))
+        out = tmp_path / "sweep.json"
+        code = main(["extrapolate", "--data", data, "--laws", "chinchilla", "--mode", mode,
+                     *lists, "--out", str(out)])
+        self._assert_validation_error(code, capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.csv"]
+
 
 class TestThreadCountDeterminism:
-    def _run(self, args, threads):
+    def _run(self, args, threads, cpus=None):
         src = str(Path(sl.__file__).resolve().parents[1])
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        subprocess.run([sys.executable, "-m", "scalelaws.cli", *args],
+        pin = None if cpus is None else lambda: os.sched_setaffinity(0, cpus)
+        subprocess.run([sys.executable, "-m", "scalelaws.cli", *args], preexec_fn=pin,
                        env=env, check=True, capture_output=True, timeout=300)
 
     def test_fit_and_compare_identical_at_one_and_two_threads(self, tmp_path):
@@ -639,6 +656,78 @@ class TestThreadCountDeterminism:
                        "--starts", "4", "--out", str(cmp_out), "--no-timestamp"], threads)
             outputs[threads] = (fit_out.read_bytes(), cmp_out.read_bytes())
         assert outputs[1] == outputs[2]
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                        reason="needs at least 2 usable CPUs")
+    def test_compare_identical_on_one_and_two_cpus(self, tmp_path):
+        """compare runs its fits in process on one CPU and in worker
+        processes on two. Level 5.0 has fewer rows than chinchilla has
+        parameters, so the error text of a failed fit is compared too."""
+        oset = shannon_level_set(levels=[40.0, 20.0])
+        few = shannon_level_set(levels=[5.0], n_values=MODEL_SIZES[:1], d_values=TOKEN_COUNTS[:3])
+        data = write_csv_from_set(tmp_path / "obs.csv", oset.with_observations([*oset, *few]))
+        out = tmp_path / "cmp.json"
+        outputs = {}
+        cpus = sorted(os.sched_getaffinity(0))
+        for count in (1, 2):
+            self._run(["compare", "--data", data, "--laws", "chinchilla,openai,precision",
+                       "--group-by-level", "--x-orientation", "mitigating", "--seed", "3",
+                       "--starts", "4", "--out", str(out), "--no-timestamp"], 1,
+                      set(cpus[:count]))
+            outputs[count] = out.read_bytes()
+        assert outputs[1] == outputs[2]
+        cells = json.loads(outputs[1])["comparison"]["rows"][0]["cells"]
+        assert [c["level"] for c in cells if c["error"] is not None] == ["5.0"]
+
+
+class TestFitWorkers:
+    """compare spreads its fits over forked workers; none outlives it."""
+
+    def test_cli_import_loads_no_pool_module(self):
+        src = str(Path(sl.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = ("import sys, scalelaws.cli; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("sizes, code", [(MODEL_SIZES, 0), (MODEL_SIZES[:1], 3)],
+                             ids=["success", "every_cell_failed"])
+    def test_no_worker_outlives_compare(self, tmp_path, capsys, sizes, code):
+        import multiprocessing
+
+        oset = shannon_level_set(levels=[40.0, 20.0], n_values=sizes, d_values=TOKEN_COUNTS[:3])
+        data = write_csv_from_set(tmp_path / "obs.csv", oset)
+        assert main(["compare", "--data", data, "--laws", "chinchilla,openai",
+                     "--group-by-level", "--starts", "2", "--max-iters", "20"]) == code
+        capsys.readouterr()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("host", ["thread", "daemonic_process"])
+    def test_compare_fits_in_process_where_fork_is_unsafe(self, monkeypatch, host):
+        """A fork copies only the calling thread, and a daemonic process
+        may not have children: there compare makes no pool."""
+        import concurrent.futures
+        import multiprocessing
+        import threading
+
+        args = (shannon_level_set(levels=[40.0, 20.0]),
+                [sl.get_law("chinchilla"), sl.get_law("openai")],
+                sl.FitConfig(starts=1, max_iters=20), True)
+        expected = sl.compare_laws(*args)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        if host == "thread":
+            tables = []
+            thread = threading.Thread(target=lambda: tables.append(sl.compare_laws(*args)))
+            thread.start()
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+            assert tables == [expected]
+        else:
+            with multiprocessing.get_context("fork").Pool(1) as pool:
+                assert pool.apply(sl.compare_laws, args) == expected
 
 
 # Runs COMMAND from a fresh, small interpreter and prints its exit code and

@@ -141,8 +141,9 @@ class TestLocalSolve:
         true = random_params(law, rng)
         data = grid_set(law, true, N_GRID, D_GRID)
         start = np.zeros(9)  # all parameters at 1
-        start_sse = float(np.sum(sl.residuals(
-            law, sl.ParamVector("shannon_full", tuple(np.exp(start))), data) ** 2))
+        start_sse = float(np.sum((sl.predict_dataset(
+            law, sl.ParamVector("shannon_full", tuple(np.exp(start))), data)
+            - data.losses()) ** 2))
         params, sse, iterations, converged = sl.local_solve(
             law, data, start, FitConfig(max_iters=1)
         )
@@ -176,7 +177,8 @@ class TestResiduals:
         law = sl.get_law("chinchilla")
         true = sl.ParamVector("chinchilla", (2.0, 3.0, 1.0, 0.5, 0.5))
         data = grid_set(law, true, N_GRID, D_GRID)
-        np.testing.assert_array_equal(sl.residuals(law, true, data), np.zeros(len(data)))
+        np.testing.assert_array_equal(sl.predict_dataset(law, true, data) - data.losses(),
+                                      np.zeros(len(data)))
 
     def test_log_space_constant_ratio(self):
         """Predictions at twice the observed loss give a constant ln 2."""
@@ -188,7 +190,7 @@ class TestResiduals:
                            o.x_level, o.source_tag)
             for o in base
         ])
-        res = sl.residuals(law, params, halved, objective_space="log_loss")
+        res = np.log(sl.predict_dataset(law, params, halved)) - np.log(halved.losses())
         np.testing.assert_allclose(res, np.log(2.0), rtol=1e-12)
 
     def test_single_observation(self):
@@ -198,7 +200,7 @@ class TestResiduals:
             (sl.Observation("m", 1e9, 1e9, 3.0),),
             normalization=sl.Normalization(1e9, 1e9),
         )
-        res = sl.residuals(law, params, data)
+        res = sl.predict_dataset(law, params, data) - data.losses()
         assert res.shape == (1,)
         assert res[0] == pytest.approx(6.0 - 3.0, rel=1e-15)
 
