@@ -629,7 +629,9 @@ class TestErrorContract:
         out = tmp_path / "sweep.json"
         code = main(["extrapolate", "--data", data, "--laws", "chinchilla", "--mode", mode,
                      *lists, "--out", str(out)])
-        self._assert_validation_error(code, capsys)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error[validation]: {flag} expects at least one integer, got {lists[-1]!r}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.csv"]
 
 
