@@ -58,7 +58,6 @@ from .laws import (
     ParamVector,
     capacity,
     get_law,
-    jacobian_fd,
     law_registry,
     predict_dataset,
     predict_loss,
@@ -92,7 +91,7 @@ __all__ = [
     # laws
     "LAW_IDS", "SHANNON_FAMILY", "LawSpec", "ParamVector",
     "law_registry", "get_law", "with_orientation",
-    "capacity", "predict_loss", "predict_dataset", "jacobian_fd",
+    "capacity", "predict_loss", "predict_dataset",
     # fitter
     "FitConfig", "FitResult", "fit", "local_solve",
     # metrics

@@ -100,6 +100,17 @@ def _sidecar(out_path: str) -> str:
     return str(out_path) + ".manifest.json"
 
 
+def _refuse_shared_path(*paths: str) -> None:
+    """Refuse outputs of one run that resolve to one path, of which only
+    the one written last would survive."""
+    seen = set()
+    for path in paths:
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise DataValidationError(f"{path}: two outputs at one path")
+        seen.add(resolved)
+
+
 @contextmanager
 def _outputs(*paths: str):
     """UTF-8 text files beside `paths`, all created before the block runs,
@@ -247,6 +258,8 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
+    outputs = [args.out, _sidecar(args.out), *filter(None, [args.basin])]
+    _refuse_shared_path(*outputs)
     result = read_fit(args.fit)
     law = with_orientation(get_law(result.law_id), result.x_orientation)
     spec = GridSpec(
@@ -258,7 +271,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     grid = grid_eval(law, result.params, spec, x=args.x, normalization=result.normalization)
     report = detect_basin(grid) if args.basin else None
     manifest = _manifest(args, [args.fit])
-    with _outputs(args.out, _sidecar(args.out), *filter(None, [args.basin])) as files:
+    with _outputs(*outputs) as files:
         grid.to_csv(files[0])
         files[1].write(_json_text({"manifest": manifest}))
         if report is not None:
@@ -284,8 +297,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_perturb(args: argparse.Namespace) -> int:
     segments = _parse_int_list(args.segments, "--segments") if args.segments else None
-    manifest = _manifest(args, [args.infile])
     report_path = args.report or str(args.out) + ".report.json"
+    _refuse_shared_path(args.out, _sidecar(args.out), report_path)
+    manifest = _manifest(args, [args.infile])
     with _outputs(_sidecar(args.out), report_path) as (manifest_file, report_file):
         report = perturb_wvec(args.infile, args.out, args.snr_db, args.seed, segments)
         report_payload = report.to_dict() if segments is None else [r.to_dict() for r in report]
@@ -361,8 +375,16 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="omit timestamps from manifests (reproducible output)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are validation errors, reported on one
+    line like every other error, without the usage block."""
+
+    def error(self, message: str):
+        raise DataValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scalelaws",
         description="Fit, compare, and extrapolate scaling laws; analyze loss "
                     "landscapes; SNR-calibrated weight perturbation.",
@@ -460,14 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         args.seed = _resolve_seed(args.seed)
         return args.func(args)
+    except SystemExit as exc:  # -h and --version print, then exit
+        return int(exc.code or 0)
     except _VALIDATION_ERRORS as exc:
         print(f"error[validation]: {exc}", file=sys.stderr)
         return EXIT_USAGE

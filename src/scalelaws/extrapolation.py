@@ -192,13 +192,13 @@ def _run_fits(jobs: Sequence[FitJob]) -> list[FitResult | ScaleLawsError]:
     The jobs are independent, so they are spread over forked worker
     processes, one per usable CPU and at most one per job. They run in
     process instead with one worker, where the platform has no CPU
-    affinity or no fork, in a process that runs other threads (a fork
-    copies only the calling thread, so a lock another thread holds
-    would stay held in the worker) and in a daemonic process, which may
-    not have children. The results are the same either way: a worker
-    runs the same code on a copy of the same data and hands back its
-    FitResult or ScaleLawsError by pickle, which keeps every float and
-    message.
+    affinity call (only platforms with fork have one), in a process that
+    runs other threads (a fork copies only the calling thread, so a lock
+    another thread holds would stay held in the worker) and in a
+    daemonic process, which may not have children. The results are the
+    same either way: a worker runs the same code on a copy of the same
+    data and hands back its FitResult or ScaleLawsError by pickle, which
+    keeps every float and message.
     """
     try:
         workers = min(len(os.sched_getaffinity(0)), len(jobs))
@@ -208,8 +208,7 @@ def _run_fits(jobs: Sequence[FitJob]) -> list[FitResult | ScaleLawsError]:
         import multiprocessing
         import threading
 
-        if (threading.active_count() > 1 or multiprocessing.current_process().daemon
-                or "fork" not in multiprocessing.get_all_start_methods()):
+        if threading.active_count() > 1 or multiprocessing.current_process().daemon:
             workers = 1
     if workers < 2:
         return [_try_fit(*job) for job in jobs]
@@ -223,11 +222,6 @@ def _run_fits(jobs: Sequence[FitJob]) -> list[FitResult | ScaleLawsError]:
         return list(pool.map(_run_worker_job, range(len(jobs))))
 
 
-def _distinct(entries: Sequence[tuple[object, FitJob]]) -> list[FitJob]:
-    """The distinct jobs of `fit_levels` entries, in entry order."""
-    return list({id(job): job for _, job in entries}.values())
-
-
 def fit_levels(
     law: LawSpec,
     train: ObservationSet,
@@ -235,20 +229,18 @@ def fit_levels(
     fit_mode: str | None = None,
     groups: Sequence[tuple[object, ObservationSet]] | None = None,
     predicts: Sequence[object] = (),
-) -> tuple[str, list[tuple[object, FitJob]]]:
+) -> tuple[str, list[FitJob]]:
     """Plan the fits of `law` to a training set: per level ("per_level")
     or once across levels with X as a covariate ("joint_x", X-aware laws
     only); None picks joint_x for X-aware laws and per_level otherwise.
 
     `groups` are the level groups of `train`, computed when omitted (a
     set in which no row has a level is one level, "all"). Returns the
-    resolved mode and one (level, job) entry per group, where the job is
-    the (law, data, config) triple whose fit predicts the level; the law
-    carries config.x_orientation. Under joint_x every entry holds the
-    same job, the one joint fit, which also predicts levels absent from
-    training. Nothing is fitted here: the caller runs the distinct jobs,
-    and a job whose fitting raises a ScaleLawsError does not stop the
-    others.
+    resolved mode and its jobs, each a (law, data, config) triple whose
+    law carries config.x_orientation: under per_level one job per group,
+    in group order, whose fit predicts that level; under joint_x the one
+    joint job, whose fit predicts every level, also those absent from
+    training. Nothing is fitted here.
 
     Raises:
         DataValidationError: an unknown mode, or joint_x without X.
@@ -263,13 +255,12 @@ def fit_levels(
     if groups is None:
         groups = _level_groups(train, not train.missing_levels().all())
     if fit_mode == "joint_x":
-        joint = (law, train, config)
-        return fit_mode, [(level, joint) for level, _ in groups]
+        return fit_mode, [(law, train, config)]
     trained = {level for level, _ in groups}
     for level in predicts:
         if level not in trained:
             raise SplitError(f"level {level!r} has test observations but no training observations")
-    return fit_mode, [(level, (law, group, config)) for level, group in groups]
+    return fit_mode, [(law, group, config) for _, group in groups]
 
 
 def _predict(law: LawSpec, result: FitResult | ScaleLawsError, group: ObservationSet):
@@ -377,15 +368,16 @@ def compare_laws(
     The table does not depend on how many there are.
     """
     groups = _level_groups(data, group_by_level)
-    planned = [fit_levels(law, data, config, fit_mode, groups)[1] for law in laws]
-    jobs = _distinct([entry for entries in planned for entry in entries])
-    result_of = dict(zip(map(id, jobs), _run_fits(jobs)))
+    plans = [fit_levels(law, data, config, fit_mode, groups) for law in laws]
+    results = iter(_run_fits([job for _, jobs in plans for job in jobs]))
     rows = []
-    for law, entries in zip(laws, planned):
+    for (mode, jobs), law in zip(plans, laws):
+        fits = [next(results) for _ in jobs]
+        if mode == "joint_x":
+            fits *= len(groups)
         cells = tuple(
-            _score(lambda: EvalPairs.of(_predict(job[0], result_of[id(job)], group),
-                                        group.losses()))
-            for (_, group), (_, job) in zip(groups, entries))
+            _score(lambda: EvalPairs.of(_predict(jobs[0][0], result, group), group.losses()))
+            for (_, group), result in zip(groups, fits))
         scores = [(level, r2) for (level, _), (r2, _) in zip(groups, cells) if r2 is not None]
         rows.append((law.law_id, cells, *_summary(scores)))
     return ComparisonTable(tuple(str(level) for level, _ in groups), bool(group_by_level),
@@ -437,20 +429,15 @@ def _split(oset: ObservationSet, spec: SplitSpec, joint_full_test: bool) -> tupl
 
 def _extrapolate(law: LawSpec, split: tuple, config: FitConfig, fit_mode: str | None):
     spec, train, test, excluded, train_groups, test_groups = split
-    fit_mode, entries = fit_levels(law, train, config, fit_mode, train_groups,
-                                   predicts=[level for level, _ in test_groups])
-    jobs = _distinct(entries)
-    result_of = {id(job): _try_fit(*job) for job in jobs}
-    fits = tuple(result_of.values())
-    for result in fits:
-        if isinstance(result, ScaleLawsError):
-            raise result
-    # a level absent from training passes the check above only under
-    # joint_x, where every entry holds the one joint fit
-    fit_of = {level: result_of[id(job)] for level, job in entries}
+    fit_mode, jobs = fit_levels(law, train, config, fit_mode, train_groups,
+                                predicts=[level for level, _ in test_groups])
+    fits = tuple(fit(*job) for job in jobs)
+    # under per_level fit_levels checked that every test level has a
+    # training group; under joint_x the one fit predicts every level
+    fit_of = dict(zip([level for level, _ in train_groups], fits))
     law = jobs[0][0]
-    pairs = [EvalPairs.of(_predict(law, fit_of.get(level, fits[0]), group), group.losses(),
-                          group_label=str(level))
+    pairs = [EvalPairs.of(predict_dataset(law, fit_of.get(level, fits[0]).params, group),
+                          group.losses())
              for level, group in test_groups]
     return ExtrapReport(
         law_id=law.law_id,

@@ -39,8 +39,8 @@ with its analytic derivative in the log coordinates u = ln(theta) the
 fitter works in. LAW_IDS and SHANNON_FAMILY read that table. One
 :func:`evaluate` call turns a form into the loss and a derivative closure
 that builds the loss Jacobian only when called, so the fitter evaluates
-each point once; :func:`jacobian_fd` stays as the finite-difference
-oracle the derivatives are tested against.
+each point once; :func:`jacobian_fd_arrays` stays as the
+finite-difference oracle the derivatives are tested against.
 
 Evaluation is vectorized over numpy arrays. Non-evaluable points raise
 :class:`~scalelaws.errors.LawDomainError`; infinities and NaNs never
@@ -68,16 +68,15 @@ X_POSITIVE = "positive"
 
 
 # ---------------------------------------------------------------------
-# Law forms. Each takes the parameter components (see _split_theta), the
-# inputs and the X orientation, and returns (value, derivative). The
+# Law forms. Each takes the parameters as a tuple of floats, the inputs
+# and the X orientation, and returns (value, derivative). The
 # value is (bandwidth, snr) for the capacity family, giving
 # C = bandwidth * log2(1 + snr), and the loss for baselines.
 # derivative(logs), with logs = (ln n, ln d, ln x) from log_inputs,
 # closes over the value's terms and returns its u = ln(theta) gradient
 # as rows, one per parameter: d ln(bandwidth)/du and d ln(snr)/du for
 # the capacity family (combined into dL/du by evaluate), dL/du for
-# baselines. Gradient-only work stays inside it, so evaluation skips it;
-# it takes a point theta, never a batch.
+# baselines. Gradient-only work stays inside it, so evaluation skips it.
 # ---------------------------------------------------------------------
 
 def _rows(like, *rows):
@@ -388,20 +387,6 @@ class ParamVector:
 # Raw evaluation (vectorized, non-raising; caller inspects finiteness)
 # ---------------------------------------------------------------------
 
-def _split_theta(theta):
-    """Parameter components for evaluation.
-
-    A 1-D theta yields Python floats (point evaluation). A 2-D theta of
-    shape (batch, p) yields (batch, 1) columns so one call evaluates a
-    whole batch of parameter vectors against the same inputs; results
-    then have shape (batch, n_points).
-    """
-    arr = np.asarray(theta, dtype=float)
-    if arr.ndim == 1:
-        return tuple(arr.tolist())
-    return tuple(arr[:, j:j + 1] for j in range(arr.shape[1]))
-
-
 def _capacity(bandwidth, snr):
     return bandwidth * np.log2(1.0 + snr)
 
@@ -411,17 +396,17 @@ def evaluate(law: LawSpec, theta, n, d, x=None) -> tuple[np.ndarray, Callable]:
     without domain checks: losses may be inf/NaN (the fitter rejects such
     steps, grid evaluation masks them).
 
-    theta is one parameter vector (p,) or a batch (batch, p), whose losses
-    have shape (batch, n_points). derivative(logs), with
-    ``logs = log_inputs(law, n, d, x)`` and a point theta, builds the
-    [n_obs, n_params] Jacobian only when called. For the capacity family,
-    L = 1/C gives dL/du = -L * (g_B + k * g_S), with g_B and g_S the
-    log-gradients of bandwidth and snr and k = S / ((1 + S) ln(1 + S)).
+    theta is one parameter vector. derivative(logs), with
+    ``logs = log_inputs(law, n, d, x)``, builds the [n_obs, n_params]
+    Jacobian only when called. For the capacity family, L = 1/C gives
+    dL/du = -L * (g_B + k * g_S), with g_B and g_S the log-gradients of
+    bandwidth and snr and k = S / ((1 + S) ln(1 + S)).
     """
     if law.needs_x and x is None:
         raise LawDomainError(f"law {law.law_id} requires x")
+    parts = tuple(np.asarray(theta, dtype=float).tolist())
     with np.errstate(all="ignore"):
-        value, form_derivative = law.form(_split_theta(theta), n, d, x, law.x_orientation)
+        value, form_derivative = law.form(parts, n, d, x, law.x_orientation)
         if law.capacity_family:
             bandwidth, snr = value
             value = 1.0 / _capacity(bandwidth, snr)
@@ -472,7 +457,7 @@ def _finalize(values: np.ndarray, scalar: bool):
 
 def _capacity_checked(law: LawSpec, params: ParamVector, n, d, x):
     n_arr, d_arr, x_arr, scalar = _coerce_inputs(law, n, d, x)
-    parts = _split_theta(params.values)
+    parts = tuple(map(float, params.values))
     with np.errstate(all="ignore"):
         bandwidth, snr = law.form(parts, n_arr, d_arr, x_arr, law.x_orientation)[0]
         if np.any(~np.isfinite(snr)):
@@ -485,7 +470,7 @@ def _capacity_checked(law: LawSpec, params: ParamVector, n, d, x):
     return _finalize(cap, scalar)
 
 
-def capacity(params: ParamVector, n, d, x=None, law: LawSpec | None = None):
+def capacity(params: ParamVector, n, d, x=None):
     """Effective capacity C of a capacity-family law at (n, d[, x]).
 
     Args:
@@ -493,8 +478,6 @@ def capacity(params: ParamVector, n, d, x=None, law: LawSpec | None = None):
         n: Normalized model size(s), positive.
         d: Normalized token count(s), positive.
         x: Perturbation scalar; required exactly for the extended law.
-        law: Optional LawSpec overriding the registry default (used to
-            carry a non-default X orientation).
 
     Returns:
         Positive capacity, scalar or array matching the inputs.
@@ -503,8 +486,7 @@ def capacity(params: ParamVector, n, d, x=None, law: LawSpec | None = None):
         LawDomainError: non-positive inputs, missing/forbidden x, SNR
             overflow, zero capacity, or capacity overflow.
     """
-    if law is None:
-        law = get_law(params.law_id)
+    law = get_law(params.law_id)
     if not law.capacity_family:
         raise LawDomainError(f"capacity is defined for {SHANNON_FAMILY}, not {law.law_id}")
     return _capacity_checked(law, params, n, d, x)
@@ -562,48 +544,6 @@ def predict_dataset(law: LawSpec, params: ParamVector, data: ObservationSet) -> 
 # Finite-difference Jacobian (the oracle for the analytic gradients)
 # ---------------------------------------------------------------------
 
-MAX_JACOBIAN_STEP = 1e-2
-DEFAULT_JACOBIAN_STEP = 1e-6
-
-
-def jacobian_fd(
-    law: LawSpec,
-    params: ParamVector,
-    observations: ObservationSet,
-    step_rel: float = DEFAULT_JACOBIAN_STEP,
-) -> np.ndarray:
-    """Central finite differences of the predicted loss, one column per
-    parameter, taken in each parameter's unconstrained log coordinate
-    u = ln(theta).
-
-    Args:
-        law: Law to differentiate (its orientation is honored).
-        params: Point of differentiation, matching `law`.
-        observations: Evaluation points (normalized internally).
-        step_rel: Log-coordinate step, in (0, 1e-2].
-
-    Returns:
-        Matrix of shape [n_obs, n_params] with finite entries.
-
-    Raises:
-        DataValidationError: an X-aware law and an observation without
-            x_level.
-        LawDomainError: invalid step, or a non-evaluable observation.
-    """
-    if not (0 < step_rel <= MAX_JACOBIAN_STEP):
-        raise LawDomainError(f"step_rel must be in (0, {MAX_JACOBIAN_STEP}], got {step_rel}")
-    n = observations.n_norm()
-    d = observations.d_norm()
-    x = observed_x(law, observations)
-    base = evaluate_raw(law, params.values, n, d, x)
-    if np.any(~np.isfinite(base)):
-        raise LawDomainError(f"{law.law_id}: non-evaluable observation at the given parameters")
-    jac = jacobian_fd_arrays(law, np.asarray(params.values), n, d, x, step_rel)
-    if np.any(~np.isfinite(jac)):
-        raise LawDomainError(f"{law.law_id}: non-finite Jacobian entry at the given parameters")
-    return jac
-
-
 def jacobian_fd_arrays(
     law: LawSpec,
     theta: np.ndarray,
@@ -612,15 +552,15 @@ def jacobian_fd_arrays(
     x: np.ndarray | None,
     step_rel: float,
 ) -> np.ndarray:
-    """Array-level Jacobian core (no validation; entries may be non-finite).
-
-    All 2p perturbed parameter vectors are evaluated in one batched call.
-    """
+    """Central finite differences of the loss in u = ln(theta), one
+    column per parameter: the [n_obs, n_params] oracle for the
+    derivative of :func:`evaluate` (no validation; entries may be
+    non-finite)."""
     theta = np.asarray(theta, dtype=float)
-    p = theta.size
-    batch = np.tile(theta, (2 * p, 1))
-    idx = np.arange(p)
-    batch[idx, idx] *= math.exp(step_rel)
-    batch[p + idx, idx] *= math.exp(-step_rel)
-    values = evaluate_raw(law, batch, n, d, x)  # (2p, n_obs)
-    return (values[:p] - values[p:]).T / (2.0 * step_rel)
+    columns = []
+    for j in range(theta.size):
+        up, down = theta.copy(), theta.copy()
+        up[j] *= math.exp(step_rel)
+        down[j] *= math.exp(-step_rel)
+        columns.append(evaluate_raw(law, up, n, d, x) - evaluate_raw(law, down, n, d, x))
+    return np.column_stack(columns) / (2.0 * step_rel)

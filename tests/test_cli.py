@@ -634,6 +634,56 @@ class TestErrorContract:
             f"error[validation]: {flag} expects at least one integer, got {lists[-1]!r}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.csv"]
 
+    @pytest.mark.parametrize("command, outputs, shared", [
+        ("grid", ["--out", "g.csv", "--basin", "./g.csv"], "./g.csv"),
+        ("grid", ["--out", "g.csv", "--basin", "g.csv.manifest.json"], "g.csv.manifest.json"),
+        ("perturb", ["--out", "p.wvec", "--report", "p.wvec"], "p.wvec"),
+        ("perturb", ["--out", "p.wvec", "--report", "p.wvec.manifest.json"],
+         "p.wvec.manifest.json"),
+    ], ids=["grid_basin", "grid_basin_manifest", "perturb_report", "perturb_report_manifest"])
+    def test_outputs_at_one_path(self, tmp_path, wvec, capsys, monkeypatch, command, outputs,
+                                 shared):
+        """Two outputs of one run at one path are refused before any file
+        is made, rather than the one written last replacing the other."""
+        monkeypatch.chdir(tmp_path)
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps({"fit": fit_record()}), encoding="utf-8")
+        (tmp_path / shared).write_bytes(b"previous")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        inputs = {
+            "grid": ["--fit", str(fit_path), "--n-min", "1", "--n-max", "10", "--d-min", "1",
+                     "--d-max", "10"],
+            "perturb": ["--in", str(wvec), "--snr-db", "20"],
+        }[command]
+        code = main([command, *inputs, *outputs])
+        assert code == 2
+        assert capsys.readouterr().err == f"error[validation]: {shared}: two outputs at one path\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--data", "x.csv"], "the following arguments are required: --law"),
+        (["fit", "--data", "x.csv", "--law", "chinchilla", "--starts", "abc"],
+         "argument --starts: invalid int value: 'abc'"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["perturb", "--in", "w.wvec", "--out", "p.wvec", "--snr-db", "-1e308"],
+         "argument --snr-db: expected one argument"),
+    ], ids=["missing_flag", "bad_int", "unknown_command", "option_like_value"])
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        """A usage error is one error[validation] line, without argparse's
+        usage block."""
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error[validation]: {message}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_help_and_version_are_unchanged(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == f"scalelaws {sl.__version__}\n"
+        assert main(["fit", "-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: scalelaws fit ")
+
 
 class TestThreadCountDeterminism:
     def _run(self, args, threads, cpus=None):

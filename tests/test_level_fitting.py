@@ -5,6 +5,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scalelaws as sl
@@ -207,3 +208,53 @@ class TestLevels:
         assert captured.err == "error[numeric]: every extrapolation cell failed\n"
         assert captured.out == ""
         assert not out.exists()
+
+
+def absent_level_set():
+    """Noiseless qid (mitigating) losses on 6 models x 5 token counts: the
+    3 smallest models at X in {4, 8}, the 3 largest also at X = 16."""
+    law = sl.with_orientation(sl.get_law("qid"), "mitigating")
+    params = sl.ParamVector("qid", (2.0, 3.0, 1.0, 0.05, 0.5, 0.5, 0.3, 0.4, 0.8))
+    return sl.ObservationSet(tuple(
+        sl.Observation(f"m{i}", float(n), float(d),
+                       sl.predict_loss(law, params, n / 1e9, d / 1e9, x), x_level=x)
+        for i, n in enumerate(MODEL_SIZES)
+        for x in ((4.0, 8.0) if i < 3 else (4.0, 8.0, 16.0))
+        for d in np.geomspace(4.2e9, 3.07e11, 5)
+    ), normalization=sl.Normalization(1e9, 1e9))
+
+
+class TestLevelAbsentFromTraining:
+    """A model split with k=3 of `absent_level_set` tests level 16.0,
+    which no training row has: only a joint fit across levels can
+    predict it."""
+
+    SPLIT = sl.SplitSpec("model", k=3)
+    CONFIG = FitConfig(starts=16, random_starts=0, seed=0, max_iters=300,
+                       objective_space="log_loss", x_orientation="mitigating")
+
+    def test_joint_fit_scores_the_untrained_level(self):
+        report = sl.run_extrapolation(absent_level_set(), sl.get_law("qid"), self.SPLIT,
+                                      self.CONFIG, fit_mode="joint_x")
+        scores = dict(report.per_level_r2)
+        assert sorted(scores) == [4.0, 8.0, 16.0]
+        assert scores[16.0] >= 1 - 1e-6
+        assert report.test_count == 45
+        assert len(report.per_level_fit) == 1
+
+    def test_per_level_fit_cannot_predict_it(self):
+        with pytest.raises(sl.SplitError, match="^level 16.0 has test observations but no "
+                                                "training observations$"):
+            sl.run_extrapolation(absent_level_set(), sl.get_law("qid"), self.SPLIT,
+                                 self.CONFIG, fit_mode="per_level")
+
+    def test_sweep_records_the_error_and_scores_the_joint_fit(self):
+        sweep = sl.progressive_sweep(absent_level_set(),
+                                     [sl.get_law("chinchilla"), sl.get_law("qid")],
+                                     [self.SPLIT], self.CONFIG)
+        assert sweep.fit_modes == ("per_level", "joint_x")
+        (chinchilla,), (qid,) = sweep.cells
+        assert chinchilla.pooled_r2 is None
+        assert chinchilla.error.startswith("level 16.0 has test observations")
+        assert qid.error is None
+        assert qid.pooled_r2 >= 1 - 1e-6
