@@ -100,14 +100,46 @@ def _sidecar(out_path: str) -> str:
     return str(out_path) + ".manifest.json"
 
 
-def _refuse_shared_path(*paths: str) -> None:
+def _grid_outputs(args: argparse.Namespace) -> list[str]:
+    return [args.out, _sidecar(args.out), *filter(None, [args.basin])]
+
+
+def _perturb_report(args: argparse.Namespace) -> str:
+    return args.report or str(args.out) + ".report.json"
+
+
+def _run_paths(args: argparse.Namespace) -> tuple[list[str], list[str | None]]:
+    """The files a run reads and the files it writes, the latter in the
+    order it makes them (None where an optional output is not asked for).
+    perturb reads all of --in before it replaces --out, so an --in at
+    --out is not counted among the files it reads."""
+    if args.command in ("fit", "compare", "extrapolate"):
+        return [args.data], [args.out]
+    if args.command == "report":
+        return [args.fit], [args.out]
+    if args.command == "measure":
+        return [args.original, args.perturbed], [args.out]
+    if args.command == "grid":
+        return [args.fit], _grid_outputs(args)
+    outputs = [args.out, _sidecar(args.out)]
+    if args.command == "perturb":
+        in_place = Path(args.infile).resolve() == Path(args.out).resolve()
+        return [] if in_place else [args.infile], [*outputs, _perturb_report(args)]
+    return [args.infile], outputs  # wvec-pack, wvec-unpack
+
+
+def _refuse_shared_path(inputs: list[str], outputs: list[str | None]) -> None:
     """Refuse outputs of one run that resolve to one path, of which only
-    the one written last would survive."""
+    the one written last would survive, or to an input's path, which the
+    output would replace while the manifest records the input's digest."""
+    read = {Path(path).resolve() for path in inputs}
     seen = set()
-    for path in paths:
+    for path in filter(None, outputs):
         resolved = Path(path).resolve()
         if resolved in seen:
             raise DataValidationError(f"{path}: two outputs at one path")
+        if resolved in read:
+            raise DataValidationError(f"{path}: an output at an input's path")
         seen.add(resolved)
 
 
@@ -222,35 +254,26 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _build_split_specs(args: argparse.Namespace) -> list[SplitSpec]:
-    if args.mode == "token":
-        if args.j is None:
-            raise DataValidationError("token mode requires --j")
-        return [SplitSpec("token", j=j) for j in _parse_int_list(args.j, "--j")]
-    if args.mode == "model":
-        if args.k is None:
-            raise DataValidationError("model mode requires --k")
-        return [SplitSpec("model", k=k) for k in _parse_int_list(args.k, "--k")]
-    if args.j is None or args.k is None:
-        raise DataValidationError("joint mode requires both --j and --k")
-    js = _parse_int_list(args.j, "--j")
-    ks = _parse_int_list(args.k, "--k")
+    """One split per (j, k) pair; `SplitSpec` decides which of j, k a mode takes."""
+    if args.joint_full_test and args.mode != "joint":
+        raise DataValidationError(f"--joint-full-test applies to joint mode only, not {args.mode}")
+    js = [None] if args.j is None else _parse_int_list(args.j, "--j")
+    ks = [None] if args.k is None else _parse_int_list(args.k, "--k")
     if len(js) == 1:
         js = js * len(ks)
     if len(ks) == 1:
         ks = ks * len(js)
     if len(js) != len(ks):
-        raise DataValidationError(
-            f"--j and --k lists must align for joint mode, got {len(js)} vs {len(ks)}"
-        )
-    return [SplitSpec("joint", j=j, k=k) for j, k in zip(js, ks)]
+        raise DataValidationError(f"--j and --k lists must align, got {len(js)} vs {len(ks)}")
+    return [SplitSpec(args.mode, j=j, k=k) for j, k in zip(js, ks)]
 
 
 def cmd_extrapolate(args: argparse.Namespace) -> int:
     laws = _parse_law_list(args.laws)
     _require_x_orientation(args, laws)
-    data = _load_data(args)
+    specs = _build_split_specs(args)
     sweep = progressive_sweep(
-        data, laws, _build_split_specs(args), _fit_config(args),
+        _load_data(args), laws, specs, _fit_config(args),
         fit_mode=args.fit_mode,
         joint_full_test=args.joint_full_test,
     )
@@ -258,8 +281,6 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    outputs = [args.out, _sidecar(args.out), *filter(None, [args.basin])]
-    _refuse_shared_path(*outputs)
     result = read_fit(args.fit)
     law = with_orientation(get_law(result.law_id), result.x_orientation)
     spec = GridSpec(
@@ -271,7 +292,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     grid = grid_eval(law, result.params, spec, x=args.x, normalization=result.normalization)
     report = detect_basin(grid) if args.basin else None
     manifest = _manifest(args, [args.fit])
-    with _outputs(*outputs) as files:
+    with _outputs(*_grid_outputs(args)) as files:
         grid.to_csv(files[0])
         files[1].write(_json_text({"manifest": manifest}))
         if report is not None:
@@ -297,10 +318,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_perturb(args: argparse.Namespace) -> int:
     segments = _parse_int_list(args.segments, "--segments") if args.segments else None
-    report_path = args.report or str(args.out) + ".report.json"
-    _refuse_shared_path(args.out, _sidecar(args.out), report_path)
     manifest = _manifest(args, [args.infile])
-    with _outputs(_sidecar(args.out), report_path) as (manifest_file, report_file):
+    with _outputs(_sidecar(args.out), _perturb_report(args)) as (manifest_file, report_file):
         report = perturb_wvec(args.infile, args.out, args.snr_db, args.seed, segments)
         report_payload = report.to_dict() if segments is None else [r.to_dict() for r in report]
         manifest_file.write(_json_text({"manifest": manifest}))
@@ -485,6 +504,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.seed = _resolve_seed(args.seed)
+        _refuse_shared_path(*_run_paths(args))
         return args.func(args)
     except SystemExit as exc:  # -h and --version print, then exit
         return int(exc.code or 0)

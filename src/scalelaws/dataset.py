@@ -159,7 +159,12 @@ class ObservationSet:
             np.array([np.nan if o.x_level is None else o.x_level for o in rows], dtype=float),
             model, model_ids, tag, tags, rows,
         )
-        self._check_unique_keys()
+        repeat = self._first_repeated_key()
+        if repeat is not None:
+            raise DataValidationError(
+                f"duplicate observation key {self.observations[repeat[1]].key()} "
+                f"at positions {repeat[0]} and {repeat[1]}"
+            )
 
     def _assign(self, normalization, level_key, n, d, loss, x,
                 model, model_ids, tag, tags, rows) -> None:
@@ -184,20 +189,20 @@ class ObservationSet:
     def level_key(self) -> str:
         return self._level_key
 
-    def _check_unique_keys(self) -> None:
+    def _first_repeated_key(self) -> tuple[int, int] | None:
+        """(i, j) for the first position j whose key position i < j holds
+        too, or None when every key is unique."""
         if len(self) < 2:
-            return
+            return None
         key = np.zeros(len(self), dtype=np.intp)
         for codes in (self._model, _value_codes(self._d), _value_codes(self._x), self._tag):
             key = np.unique(key * (int(codes.max()) + 1) + codes, return_inverse=True)[1].ravel()
         first = np.unique(key, return_index=True)[1][key]
         repeats = np.flatnonzero(first != np.arange(len(key)))
-        if repeats.size:
-            i = int(repeats[0])
-            raise DataValidationError(
-                f"duplicate observation key {self.observations[i].key()} "
-                f"at positions {int(first[i])} and {i}"
-            )
+        if not repeats.size:
+            return None
+        j = int(repeats[0])
+        return int(first[j]), j
 
     @property
     def observations(self) -> tuple[Observation, ...]:
@@ -396,7 +401,13 @@ def load_observations(
 
     out = ObservationSet.__new__(ObservationSet)
     out._assign(normalization, level_key, n, d, loss, x, model, model_ids, tag, tags, None)
-    out._check_unique_keys()
+    repeat = out._first_repeated_key()
+    if repeat is not None:
+        i, j = (first_row_no + r for r in repeat)
+        raise DataValidationError(
+            f"{path}: row {j}: duplicate observation key "
+            f"{out.observations[repeat[1]].key()}, first at row {i}"
+        )
     return out
 
 

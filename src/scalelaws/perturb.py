@@ -410,12 +410,16 @@ def _replacing(path: str | Path) -> Iterator[BinaryIO]:
     half-written and may also be the file being read. A directory at
     `path`, which the rename could not replace, is refused before the
     new file is made, so a group of outputs fails before any of them is
-    renamed into place."""
-    path = Path(path)
+    renamed into place. An error in making the new file names `path`
+    as given, not the new file."""
+    given, path = os.fspath(path), Path(path)
     if path.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), given)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "xb")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, given) from None
     try:
         with fh:
             yield fh

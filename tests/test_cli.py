@@ -634,6 +634,27 @@ class TestErrorContract:
             f"error[validation]: {flag} expects at least one integer, got {lists[-1]!r}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.csv"]
 
+    @pytest.mark.parametrize("split, message", [
+        (["--mode", "model", "--k", "2", "--j", "3"], "model mode takes no j"),
+        (["--mode", "token", "--j", "2", "--k", "1,2,3"], "token mode takes no k"),
+        (["--mode", "token", "--j", "2", "--joint-full-test"],
+         "--joint-full-test applies to joint mode only, not token"),
+        (["--mode", "model", "--k", "2", "--joint-full-test"],
+         "--joint-full-test applies to joint mode only, not model"),
+        (["--mode", "token"], "token mode requires j >= 1, got None"),
+        (["--mode", "joint", "--j", "2"], "joint mode requires k >= 1, got None"),
+    ], ids=["model_j", "token_k_list", "token_full_test", "model_full_test", "token_no_j",
+            "joint_no_k"])
+    def test_split_flag_the_mode_does_not_take(self, tmp_path, capsys, split, message):
+        """A split flag the mode ignores, or one it needs and lacks, is a
+        usage error rather than a run whose manifest records it."""
+        data = write_csv_from_set(tmp_path / "obs.csv", shannon_level_set(levels=[40.0]))
+        code = main(["extrapolate", "--data", data, "--laws", "chinchilla", *split,
+                     "--out", str(tmp_path / "sweep.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error[validation]: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.csv"]
+
     @pytest.mark.parametrize("command, outputs, shared", [
         ("grid", ["--out", "g.csv", "--basin", "./g.csv"], "./g.csv"),
         ("grid", ["--out", "g.csv", "--basin", "g.csv.manifest.json"], "g.csv.manifest.json"),
@@ -659,6 +680,62 @@ class TestErrorContract:
         assert code == 2
         assert capsys.readouterr().err == f"error[validation]: {shared}: two outputs at one path\n"
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("argv, shared", [
+        (["perturb", "--in", "w.wvec", "--snr-db", "20", "--out", "p.wvec",
+          "--report", "w.wvec"], "w.wvec"),
+        (["grid", "--fit", "fit.json", "--n-min", "1", "--n-max", "10", "--d-min", "1",
+          "--d-max", "10", "--out", "g.csv", "--basin", "fit.json"], "fit.json"),
+        (["grid", "--fit", "fit.json", "--n-min", "1", "--n-max", "10", "--d-min", "1",
+          "--d-max", "10", "--out", "./fit.json"], "./fit.json"),
+        (["fit", "--data", "obs.csv", "--law", "chinchilla", "--out", "obs.csv"], "obs.csv"),
+        (["compare", "--data", "obs.csv", "--laws", "chinchilla", "--out", "obs.csv"],
+         "obs.csv"),
+        (["extrapolate", "--data", "obs.csv", "--laws", "chinchilla", "--mode", "token",
+          "--j", "8", "--out", "obs.csv"], "obs.csv"),
+        (["report", "--fit", "fit.json", "--out", "fit.json"], "fit.json"),
+        (["measure", "--original", "w.wvec", "--perturbed", "p.wvec", "--out", "p.wvec"],
+         "p.wvec"),
+        (["wvec-pack", "--in", "w.txt", "--out", "w.txt"], "w.txt"),
+        (["wvec-unpack", "--in", "p.wvec", "--out", "p.wvec"], "p.wvec"),
+    ], ids=["perturb_report", "grid_basin", "grid_out", "fit", "compare", "extrapolate",
+            "report", "measure", "wvec_pack", "wvec_unpack"])
+    def test_output_at_an_input_path(self, tmp_path, wvec, capsys, monkeypatch, argv, shared):
+        """An output that would replace an input of the same run, whose
+        digest the manifest records, is refused before any file changes."""
+        monkeypatch.chdir(tmp_path)
+        write_csv_from_set(tmp_path / "obs.csv", shannon_level_set(levels=[40.0]))
+        (tmp_path / "fit.json").write_text(json.dumps({"fit": fit_record()}), encoding="utf-8")
+        (tmp_path / "w.txt").write_text("1.5\n-2.0\n", encoding="utf-8")
+        sl.write_wvec(tmp_path / "p.wvec",
+                      sl.WeightVector(np.random.default_rng(12).normal(0, 1, 100)))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        code = main(argv)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error[validation]: {shared}: an output at an input's path\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("argv, named", [
+        (["grid", "--fit", "fit.json", "--n-min", "1", "--n-max", "10", "--d-min", "1",
+          "--d-max", "10", "--out", "g.csv", "--basin", "nodir/b.json"], "nodir/b.json"),
+        (["perturb", "--in", "w.wvec", "--snr-db", "20", "--out", "p.wvec",
+          "--report", "nodir/r.json"], "nodir/r.json"),
+        (["perturb", "--in", "w.wvec", "--snr-db", "20", "--out", "./nodir/p.wvec"],
+         "./nodir/p.wvec.manifest.json"),
+    ], ids=["grid_basin", "perturb_report", "perturb_out"])
+    def test_unwritable_output_is_named_as_given(self, tmp_path, wvec, capsys, monkeypatch,
+                                                 argv, named):
+        """The error line names the output the run could not make, as given,
+        not the temporary file written beside it. perturb makes the
+        manifest beside --out first."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fit.json").write_text(json.dumps({"fit": fit_record()}), encoding="utf-8")
+        code = main(argv)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error[validation]: [Errno 2] No such file or directory: '{named}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fit.json", "w.wvec"]
 
     @pytest.mark.parametrize("argv, message", [
         (["fit", "--data", "x.csv"], "the following arguments are required: --law"),

@@ -69,6 +69,23 @@ class TestLoading:
         with pytest.raises(sl.DataValidationError, match="duplicate"):
             sl.load_observations(path)
 
+    @pytest.mark.parametrize("suffix, row, first", [(".csv", 3, 1), (".json", 2, 0)])
+    def test_duplicate_key_names_file_and_rows(self, tmp_path, suffix, row, first):
+        """Like every other loader error, a repeated key names the file and
+        its rows, 1-based for CSV and 0-based for JSON."""
+        records = [("m0", 1e8, 1e9, 2.5), ("m0", 1e8, 2e9, 2.4), ("m0", 1e8, 1e9, 2.3)]
+        path = tmp_path / f"dup{suffix}"
+        if suffix == ".csv":
+            write_csv(path, [",".join(map(str, r)) for r in records],
+                      header="model_id,n_params,d_tokens,loss")
+        else:
+            keys = ("model_id", "n_params", "d_tokens", "loss")
+            path.write_text(json.dumps([dict(zip(keys, r)) for r in records]), encoding="utf-8")
+        with pytest.raises(sl.DataValidationError) as info:
+            sl.load_observations(path)
+        assert str(info.value) == (f"{path}: row {row}: duplicate observation key "
+                                   f"('m0', 1000000000.0, None, None), first at row {first}")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(sl.DataValidationError, match="no such file"):
             sl.load_observations(tmp_path / "nope.csv")
