@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import sys
-from contextlib import ExitStack, contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,9 +37,10 @@ from .fitter import FitConfig, fit, read_fit
 from .landscape import GridSpec, detect_basin, exponent_report, grid_eval
 from .laws import LAW_IDS, get_law, law_registry, with_orientation
 from .perturb import (
-    _replacing,
+    _resolve,
     _write_weights_text,
     _write_wvec,
+    _writing,
     measure_wvec,
     perturb_wvec,
     read_weights_text,
@@ -93,7 +92,8 @@ def _dump_json(payload: dict, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with _writing(out) as [fh]:
+            fh.write(text)
 
 
 def _sidecar(out_path: str) -> str:
@@ -123,7 +123,7 @@ def _run_paths(args: argparse.Namespace) -> tuple[list[str], list[str | None]]:
         return [args.fit], _grid_outputs(args)
     outputs = [args.out, _sidecar(args.out)]
     if args.command == "perturb":
-        in_place = Path(args.infile).resolve() == Path(args.out).resolve()
+        in_place = _resolve(args.infile) == _resolve(args.out)
         return [] if in_place else [args.infile], [*outputs, _perturb_report(args)]
     return [args.infile], outputs  # wvec-pack, wvec-unpack
 
@@ -132,25 +132,15 @@ def _refuse_shared_path(inputs: list[str], outputs: list[str | None]) -> None:
     """Refuse outputs of one run that resolve to one path, of which only
     the one written last would survive, or to an input's path, which the
     output would replace while the manifest records the input's digest."""
-    read = {Path(path).resolve() for path in inputs}
+    read = {_resolve(path) for path in inputs}
     seen = set()
     for path in filter(None, outputs):
-        resolved = Path(path).resolve()
+        resolved = _resolve(path)
         if resolved in seen:
             raise DataValidationError(f"{path}: two outputs at one path")
         if resolved in read:
             raise DataValidationError(f"{path}: an output at an input's path")
         seen.add(resolved)
-
-
-@contextmanager
-def _outputs(*paths: str):
-    """UTF-8 text files beside `paths`, all created before the block runs,
-    that replace them if it returns and are all deleted if it raises."""
-    with ExitStack() as stack:
-        files = [stack.enter_context(_replacing(path)) for path in paths]
-        yield [stack.enter_context(io.TextIOWrapper(f, encoding="utf-8", newline=""))
-               for f in files]
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -292,7 +282,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     grid = grid_eval(law, result.params, spec, x=args.x, normalization=result.normalization)
     report = detect_basin(grid) if args.basin else None
     manifest = _manifest(args, [args.fit])
-    with _outputs(*_grid_outputs(args)) as files:
+    with _writing(*_grid_outputs(args)) as files:
         grid.to_csv(files[0])
         files[1].write(_json_text({"manifest": manifest}))
         if report is not None:
@@ -319,7 +309,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_perturb(args: argparse.Namespace) -> int:
     segments = _parse_int_list(args.segments, "--segments") if args.segments else None
     manifest = _manifest(args, [args.infile])
-    with _outputs(_sidecar(args.out), _perturb_report(args)) as (manifest_file, report_file):
+    with _writing(_sidecar(args.out), _perturb_report(args)) as (manifest_file, report_file):
         report = perturb_wvec(args.infile, args.out, args.snr_db, args.seed, segments)
         report_payload = report.to_dict() if segments is None else [r.to_dict() for r in report]
         manifest_file.write(_json_text({"manifest": manifest}))
@@ -350,7 +340,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
 def cmd_wvec_pack(args: argparse.Namespace) -> int:
     weights = read_weights_text(args.infile, dtype_code=args.dtype)
     manifest = _manifest(args, [args.infile])
-    with _outputs(args.out, _sidecar(args.out)) as (out_file, manifest_file):
+    with _writing(args.out, _sidecar(args.out)) as (out_file, manifest_file):
         _write_wvec(out_file.buffer, weights)
         manifest_file.write(_json_text({"manifest": manifest}))
     print(f"packed {weights.count} {weights.dtype_code} values -> {args.out}")
@@ -360,7 +350,7 @@ def cmd_wvec_pack(args: argparse.Namespace) -> int:
 def cmd_wvec_unpack(args: argparse.Namespace) -> int:
     weights = read_wvec(args.infile)
     manifest = _manifest(args, [args.infile])
-    with _outputs(args.out, _sidecar(args.out)) as (out_file, manifest_file):
+    with _writing(args.out, _sidecar(args.out)) as (out_file, manifest_file):
         _write_weights_text(out_file, weights)
         manifest_file.write(_json_text({"manifest": manifest}))
     print(f"unpacked {weights.count} {weights.dtype_code} values -> {args.out}")

@@ -159,6 +159,7 @@ class ObservationSet:
             np.array([np.nan if o.x_level is None else o.x_level for o in rows], dtype=float),
             model, model_ids, tag, tags, rows,
         )
+        self._check_sizes("", 0, "positions")
         repeat = self._first_repeated_key()
         if repeat is not None:
             raise DataValidationError(
@@ -188,6 +189,21 @@ class ObservationSet:
     @property
     def level_key(self) -> str:
         return self._level_key
+
+    def _check_sizes(self, where: str, first_no: int, unit: str) -> None:
+        """Refuse a model_id at more than one n_params: token splits key on
+        model_id, model and joint splits on n_params, which agree only if
+        each model has one size. Rows are named as `unit`s from `first_no`."""
+        width = len(self) + 1  # above every size code
+        pairs = np.unique(self._model * width + _value_codes(self._n))
+        sizes_per_model = np.bincount(pairs // width)
+        problems = [
+            f"model_id {self._model_ids[m]!r} has more than one n_params: "
+            + _rows_by_size(self._n, np.flatnonzero(self._model == m), first_no, unit)
+            for m in np.flatnonzero(sizes_per_model > 1).tolist()
+        ]
+        if problems:
+            raise DataValidationError(where + "; ".join(problems))
 
     def _first_repeated_key(self) -> tuple[int, int] | None:
         """(i, j) for the first position j whose key position i < j holds
@@ -385,22 +401,9 @@ def load_observations(
             for msg in _row_problems({k: v[i] for k, v in cells.items()}, first_row_no + i)
         ]
         raise DataValidationError(f"{path}: " + "; ".join(problems))
-    # Token splits key on model_id, model and joint splits on n_params;
-    # they agree only if each model has one size.
-    if rows:
-        sizes = _value_codes(n)
-        width = int(sizes.max()) + 1
-        sizes_per_model = np.bincount(np.unique(model * width + sizes) // width)
-        problems = [
-            f"model_id {model_ids[m]!r} has more than one n_params: "
-            + _rows_by_size(n, np.flatnonzero(model == m), first_row_no)
-            for m in np.flatnonzero(sizes_per_model > 1).tolist()
-        ]
-        if problems:
-            raise DataValidationError(f"{path}: " + "; ".join(problems))
-
     out = ObservationSet.__new__(ObservationSet)
     out._assign(normalization, level_key, n, d, loss, x, model, model_ids, tag, tags, None)
+    out._check_sizes(f"{path}: ", first_row_no, "rows")
     repeat = out._first_repeated_key()
     if repeat is not None:
         i, j = (first_row_no + r for r in repeat)
@@ -411,12 +414,12 @@ def load_observations(
     return out
 
 
-def _rows_by_size(n: np.ndarray, rows: np.ndarray, first_row_no: int) -> str:
+def _rows_by_size(n: np.ndarray, rows: np.ndarray, first_no: int, unit: str) -> str:
     by_size: dict[float, list[int]] = {}
     for i in rows.tolist():
-        by_size.setdefault(float(n[i]), []).append(first_row_no + i)
+        by_size.setdefault(float(n[i]), []).append(first_no + i)
     return ", ".join(
-        f"{size!r} (rows {', '.join(map(str, row_nos))})" for size, row_nos in by_size.items()
+        f"{size!r} ({unit} {', '.join(map(str, nos))})" for size, nos in by_size.items()
     )
 
 

@@ -21,6 +21,7 @@ from .dataset import IDENTITY_NORMALIZATION, Normalization
 from .errors import DataValidationError, LawDomainError
 from .fitter import FitResult
 from .laws import SHANNON_FAMILY, LawSpec, ParamVector, evaluate_raw
+from .perturb import _writing
 
 SPACINGS = ("log", "linear")
 
@@ -98,10 +99,11 @@ class LossGrid:
         round-trip `repr` of the float, and an error cell's loss field
         is empty. Lines end in CRLF (`\\r\\n`), as `csv.writer` writes
         them; no field is ever quoted. Text is built and written one N
-        row at a time, so working memory is O(d_steps).
+        row at a time, so working memory is O(d_steps). A path is written
+        by `perturb._writing`, like every output file.
         """
         if isinstance(destination, (str, Path)):
-            with open(destination, "w", newline="", encoding="utf-8") as fh:
+            with _writing(destination) as [fh]:
                 self.to_csv(fh)
             return
         d_fields = [repr(d) for d in self.d_values.tolist()]

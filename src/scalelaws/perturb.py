@@ -38,8 +38,9 @@ from __future__ import annotations
 import errno
 import math
 import os
+import stat
 import struct
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence, TextIO
@@ -403,29 +404,53 @@ def _file_reader(fh: BinaryIO, dtype_code: int, path: str | Path) -> _Reader:
     return read
 
 
-@contextmanager
-def _replacing(path: str | Path) -> Iterator[BinaryIO]:
-    """A new file beside `path` that replaces it when the block exits
-    normally and is deleted when it raises, so `path` is never left
-    half-written and may also be the file being read. A directory at
-    `path`, which the rename could not replace, is refused before the
-    new file is made, so a group of outputs fails before any of them is
-    renamed into place. An error in making the new file names `path`
-    as given, not the new file."""
-    given, path = os.fspath(path), Path(path)
-    if path.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), given)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+def _resolve(path: str | Path) -> Path:
+    """`path` with every symlink followed; a symlink loop is an OSError naming `path`."""
     try:
-        fh = open(tmp, "xb")
+        os.stat(path)  # resolve() raises RuntimeError on a loop, or from Python 3.13 nothing
     except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, given) from None
+        if exc.errno == errno.ELOOP:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    return Path(path).resolve()
+
+
+@contextmanager
+def _writing(*paths: str | Path) -> Iterator[list[TextIO]]:
+    """UTF-8 text files for `paths`, all opened before the block runs
+    (binary writes go to `.buffer`); the package's one way to write a
+    file. A symlink is followed to its final target and stays a link. A
+    directory is refused before any file is made. An existing FIFO or
+    device is written in place. Any other target gets a new file beside
+    it, renamed over it (keeping a replaced file's permission bits) when
+    the block returns and deleted when it raises, so it is never left
+    half-written and may be a file the block reads. Errors name each
+    path as given."""
+    targets = [_resolve(path) for path in paths]
+    for path in filter(os.path.isdir, paths):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+    renames = []
     try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
+        with ExitStack() as stack:
+            files = []
+            for path, target in zip(paths, targets):
+                mode = os.stat(path).st_mode if os.path.exists(path) else None
+                new = None if mode is not None and not stat.S_ISREG(mode) else \
+                    target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+                try:
+                    fh = open(new or path, "x" if new else "w", encoding="utf-8", newline="")
+                except OSError as exc:
+                    raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+                files.append(stack.enter_context(fh))
+                if new is not None:
+                    renames.append((new, target))
+                    if mode is not None:
+                        os.fchmod(fh.fileno(), stat.S_IMODE(mode))
+            yield files
+        for new, target in renames:
+            os.replace(new, target)
     except BaseException:
-        tmp.unlink()
+        for new, _ in renames:
+            new.unlink(missing_ok=True)
         raise
 
 
@@ -442,8 +467,8 @@ def perturb_wvec(
     Output bytes and reports equal those of the in-memory functions on
     the same vector. Memory use does not grow with the file size. Every
     input check, including finiteness of each value, runs before the
-    output is created; the output is written beside `dst` and renamed
-    over it at the end, so `dst` may be `src`.
+    output is created; `dst` is written by :func:`_writing`, which
+    replaces a regular file at the end, so `dst` may be `src`.
 
     Returns:
         The report, or one report per segment when `segments` is given.
@@ -451,9 +476,9 @@ def perturb_wvec(
     with _open_wvec(src) as (fh, dtype_code, count):
         calibration = _calibrate(_file_reader(fh, dtype_code, src), count, segments, snr_db,
                                  f"{src}: ")
-        with _replacing(dst) as out:
-            out.write(_HEADER.pack(WVEC_MAGIC, WVEC_VERSION, dtype_code, count))
-            reports = _inject(_file_reader(fh, dtype_code, src), out.write,
+        with _writing(dst) as [out]:
+            out.buffer.write(_HEADER.pack(WVEC_MAGIC, WVEC_VERSION, dtype_code, count))
+            reports = _inject(_file_reader(fh, dtype_code, src), out.buffer.write,
                               _CODE_DTYPES[dtype_code], calibration, snr_db, seed,
                               segments is not None)
     return reports[0] if segments is None else reports
@@ -474,9 +499,9 @@ def measure_wvec(original: str | Path, perturbed: str | Path) -> tuple[float, in
 
 
 def write_wvec(path: str | Path, w: WeightVector) -> None:
-    """Write the binary weight container (bit-exact, little endian)."""
-    with open(path, "wb") as fh:
-        _write_wvec(fh, w)
+    """Write the binary weight container (bit-exact, little endian) by :func:`_writing`."""
+    with _writing(path) as [fh]:
+        _write_wvec(fh.buffer, w)
 
 
 def _write_wvec(fh: BinaryIO, w: WeightVector) -> None:
@@ -494,8 +519,8 @@ def read_wvec(path: str | Path) -> WeightVector:
 def write_weights_text(path: str | Path, w: WeightVector) -> None:
     """One value per line; full-precision reprs round-trip exactly.
 
-    Text is built and written `_LEAF` values at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
+    Text is built `_LEAF` values at a time and written by :func:`_writing`."""
+    with _writing(path) as [fh]:
         _write_weights_text(fh, w)
 
 

@@ -2,12 +2,15 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalelaws as sl
+import scalelaws.perturb as perturb_module
 from scalelaws.cli import main
 from scalelaws.fitter import read_fit
 
@@ -1074,3 +1078,169 @@ class TestFitJsonReader:
                     assert not any(path.exists() for path in outputs)
                 else:
                     assert err == ""
+
+
+def _failing_open(file, mode="r", *args, **kwargs):
+    """open() whose files for writing get the first half of their first
+    write to the disk and then fail with ENOSPC."""
+    fh = open(file, mode, *args, **kwargs)
+    if set(mode) & set("wxa+"):
+        write = fh.buffer.write
+
+        def fail(data):
+            raw = bytes(data)
+            write(raw[:len(raw) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        fh.buffer.write = fail
+    return fh
+
+
+OUTPUT_WRITERS = ["fit", "compare", "extrapolate", "grid", "report", "perturb", "measure",
+                  "wvec-pack", "wvec-unpack", "write_wvec", "write_weights_text", "to_csv"]
+
+
+class TestOutputRule:
+    """Every command's --out and every library writer's path follow one
+    rule: a symlink is written through and stays a link, a FIFO is
+    written in place, a replaced file keeps its permission bits, and a
+    failed run leaves the old file and no temporary file."""
+
+    @pytest.fixture(params=OUTPUT_WRITERS)
+    def write(self, request, tmp_path, monkeypatch):
+        """`write(directory)` makes the output `out` in `directory` and
+        returns the exit code; a library writer's OSError counts as 2,
+        as the CLI reports it."""
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        obs = write_csv_from_set(inputs / "obs.csv", shannon_level_set(levels=[40.0]))
+        fit_path = inputs / "fit.json"
+        fit_path.write_text(json.dumps({"fit": fit_record()}), encoding="utf-8")
+        weights = sl.WeightVector(np.random.default_rng(10).normal(0, 1, 100))
+        w, p, txt = (str(inputs / name) for name in ("w.wvec", "p.wvec", "w.txt"))
+        sl.write_wvec(w, weights)
+        sl.write_wvec(p, sl.WeightVector(np.random.default_rng(11).normal(0, 1, 100)))
+        sl.write_weights_text(txt, weights)
+        grid_args = ["--fit", str(fit_path), "--n-min", "1", "--n-max", "10",
+                     "--d-min", "1", "--d-max", "10"]
+        argv = {
+            "fit": ["fit", "--data", obs, "--law", "chinchilla", "--starts", "2"],
+            "compare": ["compare", "--data", obs, "--laws", "chinchilla", "--starts", "2"],
+            "extrapolate": ["extrapolate", "--data", obs, "--laws", "chinchilla",
+                            "--mode", "token", "--j", "8", "--starts", "2"],
+            "grid": ["grid", *grid_args, "--basin", "basin.json"],
+            "report": ["report", "--fit", str(fit_path)],
+            "perturb": ["perturb", "--in", w, "--snr-db", "20"],
+            "measure": ["measure", "--original", w, "--perturbed", p],
+            "wvec-pack": ["wvec-pack", "--in", txt],
+            "wvec-unpack": ["wvec-unpack", "--in", w],
+        }.get(request.param)
+        library = {
+            "write_wvec": lambda: sl.write_wvec("out", weights),
+            "write_weights_text": lambda: sl.write_weights_text("out", weights),
+            "to_csv": lambda: sl.grid_eval(
+                sl.get_law("chinchilla"), sl.ParamVector("chinchilla", (2.0, 3.0, 1.0, 0.5, 0.5)),
+                sl.GridSpec(1.0, 10.0, 1.0, 10.0, n_steps=40, d_steps=40)).to_csv("out"),
+        }.get(request.param)
+
+        def run(directory):
+            directory.mkdir(exist_ok=True)
+            monkeypatch.chdir(directory)
+            if argv is not None:
+                return main([*argv, "--out", "out", "--no-timestamp"])
+            try:
+                library()
+            except OSError:
+                return 2
+            return 0
+
+        return run
+
+    @staticmethod
+    def _plain(tmp_path, write):
+        assert write(tmp_path / "plain") == 0
+        return (tmp_path / "plain" / "out").read_bytes()
+
+    @staticmethod
+    def _linked(tmp_path):
+        """`run/out`, a symlink to `target/real`, which holds b"old"."""
+        target = tmp_path / "target" / "real"
+        target.parent.mkdir()
+        target.write_bytes(b"old")
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "out").symlink_to(target)
+        return tmp_path / "run", target
+
+    def test_symlink_is_written_through(self, tmp_path, write):
+        expected = self._plain(tmp_path, write)
+        run, target = self._linked(tmp_path)
+        assert write(run) == 0
+        assert (run / "out").is_symlink()
+        assert target.read_bytes() == expected
+        assert [p.name for p in target.parent.iterdir()] == ["real"]
+
+    def test_fifo_is_written_in_place(self, tmp_path, write):
+        expected = self._plain(tmp_path, write)
+        fifo = tmp_path / "run" / "out"
+        fifo.parent.mkdir()
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        code = write(fifo.parent)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert code == 0
+        assert received == [expected]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path, write):
+        expected = self._plain(tmp_path, write)
+        out = tmp_path / "run" / "out"
+        out.parent.mkdir()
+        out.write_bytes(b"old")
+        out.chmod(0o600)
+        assert write(out.parent) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert out.read_bytes() == expected
+
+    def test_failed_run_leaves_target_unchanged(self, tmp_path, write, monkeypatch):
+        run, target = self._linked(tmp_path)
+        monkeypatch.setattr(perturb_module, "open", _failing_open, raising=False)
+        assert write(run) == 2
+        assert target.read_bytes() == b"old"
+        assert (run / "out").is_symlink()
+        assert [p.name for p in target.parent.iterdir()] == ["real"]
+        assert [p.name for p in run.iterdir()] == ["out"]
+
+
+class TestSymlinkLoop:
+    """A symlink loop at any path a run reads or writes is one validation
+    error naming the path, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["wvec-pack", "--in", "w.txt", "--out", "loop"],
+        ["wvec-pack", "--in", "loop", "--out", "w.wvec"],
+        ["perturb", "--in", "loop", "--snr-db", "20", "--out", "p.wvec"],
+        ["fit", "--data", "loop", "--law", "chinchilla", "--out", "fit.json"],
+        ["report", "--fit", "fit.json", "--out", "loop"],
+    ], ids=["output", "input", "perturb_input", "fit_input", "json_output"])
+    def test_loop_is_a_validation_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "w.txt").write_text("1.5\n-2.0\n", encoding="utf-8")
+        (tmp_path / "fit.json").write_text(json.dumps({"fit": fit_record()}), encoding="utf-8")
+        (tmp_path / "loop").symlink_to("loop")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error[validation]: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: 'loop'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_library_writer_names_the_loop(self, tmp_path):
+        loop = tmp_path / "loop"
+        loop.symlink_to(loop)
+        with pytest.raises(OSError) as info:
+            sl.write_wvec(loop, sl.WeightVector(np.ones(3)))
+        assert (info.value.errno, info.value.filename) == (errno.ELOOP, str(loop))
+        assert [p.name for p in tmp_path.iterdir()] == ["loop"]

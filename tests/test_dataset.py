@@ -258,7 +258,7 @@ class TestNormalizationTransparency:
         law = sl.get_law("chinchilla")
         params = sl.ParamVector("chinchilla", (2.0, 3.0, 1.0, 0.5, 0.5))
         observations = tuple(
-            sl.Observation("m", 2.0e9 * (i + 1), 5.0e9 * (i + 1), 1.0)
+            sl.Observation(f"m{i}", 2.0e9 * (i + 1), 5.0e9 * (i + 1), 1.0)
             for i in range(4)
         )
         data = sl.ObservationSet(observations, normalization=sl.Normalization(1e9, 1e9))
@@ -277,3 +277,13 @@ class TestModelIdInvariant:
         with pytest.raises(sl.DataValidationError,
                            match=r"model_id 'm1' .*\(rows 1, 2\).*\(rows 3\)"):
             sl.load_observations(path)
+
+    def test_in_memory_set_with_two_sizes_rejected(self):
+        """A set built in memory is held to the loader's rule, so a joint
+        split cannot put one model in train and in test."""
+        observations = [sl.Observation("m0", 1e8, d, 2.0) for d in (1e9, 2e9, 3e9)]
+        observations.append(sl.Observation("m0", 1e9, 4e9, 1.9))
+        with pytest.raises(sl.DataValidationError) as info:
+            sl.ObservationSet(observations)
+        assert str(info.value) == ("model_id 'm0' has more than one n_params: "
+                                   "100000000.0 (positions 0, 1, 2), 1000000000.0 (positions 3)")

@@ -243,7 +243,7 @@ class TestFit:
 
     def test_constant_losses_leave_r2_undefined(self):
         observations = tuple(
-            sl.Observation("m", float(i + 1) * 1e9, float(i + 1) * 1e9, 2.5)
+            sl.Observation(f"m{i}", float(i + 1) * 1e9, float(i + 1) * 1e9, 2.5)
             for i in range(6)
         )
         data = sl.ObservationSet(observations, normalization=sl.Normalization(1e9, 1e9))
@@ -280,7 +280,7 @@ class TestFit:
 
     def test_insufficient_observations(self):
         data = sl.ObservationSet(
-            (sl.Observation("m", 1e9, 1e9, 2.0), sl.Observation("m", 2e9, 2e9, 1.8)),
+            (sl.Observation("m0", 1e9, 1e9, 2.0), sl.Observation("m1", 2e9, 2e9, 1.8)),
             normalization=sl.Normalization(1e9, 1e9),
         )
         with pytest.raises(sl.FitError, match="observations"):
@@ -300,7 +300,7 @@ class TestFit:
     def test_all_starts_diverged(self):
         """Astronomical losses overflow every start's SSE in raw space."""
         observations = tuple(
-            sl.Observation("m", float(i + 1) * 1e9, float(i + 1) * 1e9, 1e200)
+            sl.Observation(f"m{i}", float(i + 1) * 1e9, float(i + 1) * 1e9, 1e200)
             for i in range(4)
         )
         data = sl.ObservationSet(observations, normalization=sl.Normalization(1e9, 1e9))

@@ -323,7 +323,7 @@ class TestDomainValidation:
 
 def _toy_set(n_rows=6):
     observations = tuple(
-        sl.Observation("m", float(i + 1) * 1e9, float(i + 2) * 2e9, 1.0)
+        sl.Observation(f"m{i}", float(i + 1) * 1e9, float(i + 2) * 2e9, 1.0)
         for i in range(n_rows)
     )
     return sl.ObservationSet(observations)
