@@ -244,9 +244,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _build_split_specs(args: argparse.Namespace) -> list[SplitSpec]:
-    """One split per (j, k) pair; `SplitSpec` decides which of j, k a mode takes."""
-    if args.joint_full_test and args.mode != "joint":
-        raise DataValidationError(f"--joint-full-test applies to joint mode only, not {args.mode}")
+    """One split per (j, k) pair; `SplitSpec` decides which of j, k and
+    joint_full_test a mode takes."""
     js = [None] if args.j is None else _parse_int_list(args.j, "--j")
     ks = [None] if args.k is None else _parse_int_list(args.k, "--k")
     if len(js) == 1:
@@ -255,7 +254,8 @@ def _build_split_specs(args: argparse.Namespace) -> list[SplitSpec]:
         ks = ks * len(js)
     if len(js) != len(ks):
         raise DataValidationError(f"--j and --k lists must align, got {len(js)} vs {len(ks)}")
-    return [SplitSpec(args.mode, j=j, k=k) for j, k in zip(js, ks)]
+    return [SplitSpec(args.mode, j=j, k=k, joint_full_test=args.joint_full_test)
+            for j, k in zip(js, ks)]
 
 
 def cmd_extrapolate(args: argparse.Namespace) -> int:
@@ -265,7 +265,6 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
     sweep = progressive_sweep(
         _load_data(args), laws, specs, _fit_config(args),
         fit_mode=args.fit_mode,
-        joint_full_test=args.joint_full_test,
     )
     return _emit_table(args, "sweep", sweep, "every extrapolation cell failed")
 

@@ -98,13 +98,13 @@ def observation_problems(
     problems = []
     if not model_id:
         problems.append("model_id is empty")
-    if not (math.isfinite(n_params) and n_params > 0):
+    if not (math.isfinite(_float(n_params)) and n_params > 0):
         problems.append(f"n_params must be a positive real, got {n_params}")
-    if not (math.isfinite(d_tokens) and d_tokens > 0):
+    if not (math.isfinite(_float(d_tokens)) and d_tokens > 0):
         problems.append(f"d_tokens must be a positive real, got {d_tokens}")
-    if not (math.isfinite(loss) and loss > 0):
+    if not (math.isfinite(_float(loss)) and loss > 0):
         problems.append(f"loss must be a positive real, got {loss}")
-    if x_level is not None and not math.isfinite(x_level):
+    if x_level is not None and not math.isfinite(_float(x_level)):
         problems.append(f"x_level must be finite when present, got {x_level}")
     return problems
 
@@ -490,12 +490,12 @@ def _text_codes(cells: list) -> tuple[np.ndarray, tuple]:
 
 
 def _number_column(cells: list) -> tuple[np.ndarray, np.ndarray]:
-    """Cells as float64 (NaN where empty or not numeric), and the mask of
-    non-empty cells."""
+    """Cells as float64 (NaN where empty or not numeric, +-inf where a JSON
+    integer is beyond the float range), and the mask of non-empty cells."""
     try:  # fast path: every cell parses; float() ignores surrounding whitespace
         values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
         return values, np.ones(len(cells), dtype=bool)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     values = np.full(len(cells), np.nan)
     present = np.zeros(len(cells), dtype=bool)
@@ -504,10 +504,19 @@ def _number_column(cells: list) -> tuple[np.ndarray, np.ndarray]:
         if value is not None:
             present[i] = True
             try:
-                values[i] = float(value)
+                values[i] = _float(value)
             except (TypeError, ValueError):
                 pass
     return values, present
+
+
+def _float(value) -> float:
+    """float(value), with an integer beyond the float range read as +-inf,
+    as float() reads such a number written as text."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _row_problems(raw: dict, row_no: int) -> list[str]:
@@ -527,7 +536,7 @@ def _row_problems(raw: dict, row_no: int) -> list[str]:
                 errs.append(f"row {row_no}: {name} is empty")
             return None
         try:
-            return float(value)
+            return _float(value)
         except (TypeError, ValueError):
             errs.append(f"row {row_no}: {name}={value!r} is not numeric")
             return None

@@ -14,8 +14,8 @@ Three split modes over (model, checkpoint, level) data:
 * joint: train on the k smallest models restricted to their first j
   token counts; predict the held-out models only at token counts
   strictly beyond the training horizon (the stricter, default reading).
-  Passing joint_full_test=True instead tests on every held-out-model
-  observation.
+  A SplitSpec with joint_full_test=True instead tests on every
+  held-out-model observation.
 
 Scores concatenate held-out predictions across all perturbation levels
 into one flat array before computing R-squared (pooled scoring), which
@@ -49,11 +49,14 @@ class SplitSpec:
         mode: "token", "model", or "joint".
         j: Token checkpoints kept for training (token/joint modes).
         k: Smallest models kept for training (model/joint modes).
+        joint_full_test: Joint mode only; test on every held-out-model
+            observation instead of only those beyond the token horizon.
     """
 
     mode: str
     j: int | None = None
     k: int | None = None
+    joint_full_test: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in SPLIT_MODES:
@@ -68,6 +71,8 @@ class SplitSpec:
             raise DataValidationError(f"{self.mode} mode takes no j")
         if not needs_k and self.k is not None:
             raise DataValidationError(f"{self.mode} mode takes no k")
+        if self.joint_full_test and self.mode != "joint":
+            raise DataValidationError(f"{self.mode} mode takes no joint_full_test")
 
     def label(self) -> str:
         if self.mode == "token":
@@ -108,11 +113,7 @@ def _first_j_tokens(oset: ObservationSet, j: int, rows: np.ndarray) -> np.ndarra
     return kept
 
 
-def make_split(
-    oset: ObservationSet,
-    spec: SplitSpec,
-    joint_full_test: bool = False,
-) -> tuple[ObservationSet, ObservationSet]:
+def make_split(oset: ObservationSet, spec: SplitSpec) -> tuple[ObservationSet, ObservationSet]:
     """Split a set per `spec`, preserving observation order on both sides.
 
     Both sides are masks of `oset` (`ObservationSet.subset`), so they are
@@ -121,8 +122,8 @@ def make_split(
     Returns:
         (train, test). Token and model modes partition the input. Joint
         mode excludes small-model observations beyond the token horizon
-        and (unless joint_full_test) held-out-model observations inside
-        it.
+        and (unless spec.joint_full_test) held-out-model observations
+        inside it.
 
     Raises:
         SplitError: the spec is unsatisfiable (too few distinct values,
@@ -143,10 +144,9 @@ def make_split(
             )
         small = oset.n_raw() <= sizes[spec.k - 1]
         in_train, in_test = small, ~small
-        if spec.mode == "joint":
-            model, _ = oset.model_codes()
-            in_train = small & _first_j_tokens(oset, spec.j, np.isin(model, model[small]))
-            if not joint_full_test:
+        if spec.mode == "joint":  # every model has one size, so `small` holds whole models
+            in_train = _first_j_tokens(oset, spec.j, small)
+            if not spec.joint_full_test:
                 d = oset.d_raw()
                 in_test = in_test & (d > d[in_train].max())
 
@@ -418,9 +418,9 @@ class ExtrapReport:
         }
 
 
-def _split(oset: ObservationSet, spec: SplitSpec, joint_full_test: bool) -> tuple:
+def _split(oset: ObservationSet, spec: SplitSpec) -> tuple:
     """(spec, train, test, excluded count, train groups, test groups)."""
-    train, test = make_split(oset, spec, joint_full_test=joint_full_test)
+    train, test = make_split(oset, spec)
     by_level = not oset.missing_levels().all()
     test_groups = _level_groups(test, by_level)
     return (spec, train, test, len(oset) - len(train) - len(test),
@@ -459,7 +459,6 @@ def run_extrapolation(
     spec: SplitSpec,
     config: FitConfig = FitConfig(),
     fit_mode: str | None = None,
-    joint_full_test: bool = False,
 ) -> ExtrapReport:
     """Fit on the training side of a split and score held-out predictions.
 
@@ -470,15 +469,13 @@ def run_extrapolation(
         config: Fit configuration, shared by all (per-level) fits.
         fit_mode: As for `fit_levels`: "per_level", "joint_x", or None
             for the law's default.
-        joint_full_test: Joint mode only; test on every held-out-model
-            observation instead of only those beyond the token horizon.
 
     Returns:
         ExtrapReport with pooled and per-level scores. A failed fit, and
         prediction failures on any test observation, propagate, failing
         the run.
     """
-    return _extrapolate(law, _split(oset, spec, joint_full_test), config, fit_mode)
+    return _extrapolate(law, _split(oset, spec), config, fit_mode)
 
 
 @dataclass(frozen=True)
@@ -529,7 +526,6 @@ def progressive_sweep(
     specs: Sequence[SplitSpec],
     config: FitConfig = FitConfig(),
     fit_mode: str | None = None,
-    joint_full_test: bool = False,
 ) -> SweepTable:
     """Full cross-product of laws and splits; per-cell failures recorded.
 
@@ -541,7 +537,7 @@ def progressive_sweep(
         SplitError: a spec is unsatisfiable (the first such in order).
         DataValidationError: only some rows of `oset` have a level.
     """
-    splits = [_split(oset, spec, joint_full_test) for spec in specs]
+    splits = [_split(oset, spec) for spec in specs]
     rows = []
     for law in laws:
         row = []

@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import IDENTITY_NORMALIZATION, Normalization
 from .errors import DataValidationError, LawDomainError
 from .fitter import FitResult
-from .laws import SHANNON_FAMILY, LawSpec, ParamVector, evaluate_raw
+from .laws import _D_COUPLED_FAMILY, SHANNON_FAMILY, LawSpec, ParamVector, evaluate_raw
 from .perturb import _writing
 
 SPACINGS = ("log", "linear")
@@ -115,6 +115,20 @@ class LossGrid:
                 [f"{prefix},{d},{loss}\r\n" for d, loss in zip(d_fields, losses)]))
 
 
+def _losses(law: LawSpec, params: ParamVector, n, d, x: float | None,
+            normalization: Normalization) -> tuple[np.ndarray, np.ndarray]:
+    """Losses at raw `n` and `d` (broadcast together) and the mask of
+    points whose loss is not a positive finite number. Raises
+    LawDomainError for another law's parameters or an X the law refuses."""
+    if params.law_id != law.law_id:
+        raise LawDomainError(f"parameter vector is for {params.law_id}, law is {law.law_id}")
+    law.check_x(x)
+    n, d = n / normalization.n_scale, d / normalization.d_scale
+    values = evaluate_raw(law, params.values, n, d, x)
+    values = np.broadcast_to(values, np.broadcast_shapes(np.shape(n), np.shape(d))).astype(float)
+    return values, ~np.isfinite(values) | (values <= 0)
+
+
 def grid_eval(
     law: LawSpec,
     params: ParamVector,
@@ -129,17 +143,8 @@ def grid_eval(
     recorded per cell, not raised, unless the whole grid is
     non-evaluable.
     """
-    if params.law_id != law.law_id:
-        raise LawDomainError(f"parameter vector is for {params.law_id}, law is {law.law_id}")
-    law.check_x(x)
-
-    n_axis = spec.n_axis()
-    d_axis = spec.d_axis()
-    n_grid = (n_axis / normalization.n_scale)[:, None]
-    d_grid = (d_axis / normalization.d_scale)[None, :]
-    values = evaluate_raw(law, params.values, n_grid, d_grid, x)
-    values = np.broadcast_to(values, (spec.n_steps, spec.d_steps)).astype(float).copy()
-    mask = ~np.isfinite(values) | (values <= 0)
+    n_axis, d_axis = spec.n_axis(), spec.d_axis()
+    values, mask = _losses(law, params, n_axis[:, None], d_axis[None, :], x, normalization)
     if mask.all():
         raise LawDomainError(f"{law.law_id}: entirely non-evaluable grid")
     values[mask] = 0.0
@@ -177,15 +182,7 @@ class BasinReport:
     partial_slices: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "has_interior_minimum": self.has_interior_minimum,
-            "argmin": {"n": self.argmin[0], "d": self.argmin[1]},
-            "min_value": self.min_value,
-            "boundary_min": self.boundary_min,
-            "monotonic_n": self.monotonic_n,
-            "monotonic_d": self.monotonic_d,
-            "partial_slices": self.partial_slices,
-        }
+        return {**asdict(self), "argmin": dict(zip("nd", self.argmin))}
 
 
 def _longest_run(valid: np.ndarray) -> tuple[int, int]:
@@ -275,26 +272,19 @@ def detect_basin(grid: LossGrid) -> BasinReport:
     first = min(tied.tolist())  # row-major first
     argmin = (float(grid.n_values[first[0]]), float(grid.d_values[first[1]]))
 
-    partial_count = 0
-    n_classes = []
-    for j in range(d_steps):  # fixed d, vary n
-        cls, partial = classify_slice(grid.values[:, j], evaluable[:, j])
-        n_classes.append(cls)
-        partial_count += int(partial)
-    d_classes = []
-    for i in range(n_steps):  # fixed n, vary d
-        cls, partial = classify_slice(grid.values[i, :], evaluable[i, :])
-        d_classes.append(cls)
-        partial_count += int(partial)
+    # N-axis slices are the columns (fixed d, vary n), D-axis slices the rows
+    slices = [[classify_slice(row, ok) for row, ok in zip(values, valid)]
+              for values, valid in ((grid.values.T, evaluable.T), (grid.values, evaluable))]
+    monotonic_n, monotonic_d = (_majority([cls for cls, _ in axis]) for axis in slices)
 
     return BasinReport(
         has_interior_minimum=not boundary_min,
         argmin=argmin,
         min_value=min_value,
         boundary_min=boundary_min,
-        monotonic_n=_majority(n_classes),
-        monotonic_d=_majority(d_classes),
-        partial_slices=partial_count,
+        monotonic_n=monotonic_n,
+        monotonic_d=monotonic_d,
+        partial_slices=sum(partial for axis in slices for _, partial in axis),
     )
 
 
@@ -335,22 +325,16 @@ def optimal_along_axis(
 
     lattice = np.geomspace(lo, hi, resolution)
 
-    def loss_at(raw: np.ndarray | float) -> np.ndarray:
-        if fixed_axis == "N":
-            n = fixed_value / normalization.n_scale
-            d = np.asarray(raw) / normalization.d_scale
-        else:
-            n = np.asarray(raw) / normalization.n_scale
-            d = fixed_value / normalization.d_scale
-        return evaluate_raw(law, params.values, n, d, x)
+    def losses(raw):
+        n, d = (fixed_value, raw) if fixed_axis == "N" else (raw, fixed_value)
+        return _losses(law, params, n, d, x, normalization)
 
-    values = np.asarray(loss_at(lattice), dtype=float)
-    valid = np.isfinite(values) & (values > 0)
-    if not valid.any():
+    values, bad = losses(lattice)
+    if bad.all():
         raise LawDomainError(f"{law.law_id}: non-evaluable slice")
-    classification, _ = classify_slice(values, valid)
+    classification, _ = classify_slice(values, ~bad)
 
-    masked = np.where(valid, values, np.inf)
+    masked = np.where(bad, np.inf, values)
     best_idx = int(np.argmin(masked))
     best_arg = float(lattice[best_idx])
     best_val = float(masked[best_idx])
@@ -362,8 +346,8 @@ def optimal_along_axis(
         inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
 
         def f(t: float) -> float:
-            v = float(np.asarray(loss_at(math.exp(t)), dtype=float))
-            return v if math.isfinite(v) and v > 0 else math.inf
+            value, bad = losses(math.exp(t))
+            return math.inf if bad else float(value)
 
         a, b = left, right
         c = b - inv_phi * (b - a)
@@ -391,10 +375,12 @@ def optimal_along_axis(
 class ExponentReport:
     """Fitted exponents of a capacity-family law and what they imply.
 
-    Verdicts compare the model-size exponents (bandwidth alpha vs
-    interaction-noise gamma) and the token exponents (signal beta vs
-    data-noise delta); the dominating noise exponent on an axis
-    predicts an eventual U-turn along it.
+    Along N, capacity scales as N^(alpha - gamma) in every capacity
+    form. Along D, the SNR scales as D^(beta - max(gamma, delta)) in the
+    forms whose interaction noise c*(D*N)^gamma grows with D, and as
+    D^(beta - delta) in the size-only ablation. A noise exponent that
+    wins on an axis predicts an eventual U-turn along it; a tie predicts
+    a loss that levels off.
     """
 
     alpha: float
@@ -408,9 +394,17 @@ class ExponentReport:
         return asdict(self)
 
 
+def _verdict(growth: float, noise: float, growth_wins: str) -> str:
+    if growth > noise:
+        return growth_wins
+    if noise > growth:
+        return "noise_dominates"
+    return "tie"
+
+
 def exponent_report(fit: FitResult) -> ExponentReport:
     """Extract (alpha, gamma, beta, delta) from a capacity-family fit
-    and compare them pairwise, with exact equality reported as a tie."""
+    and compare them per axis, with exact equality reported as a tie."""
     if fit.law_id not in SHANNON_FAMILY:
         raise LawDomainError(
             f"exponent_report requires a capacity-family law, got {fit.law_id}"
@@ -418,19 +412,9 @@ def exponent_report(fit: FitResult) -> ExponentReport:
     values = fit.params.as_dict()
     alpha, beta = values["alpha"], values["beta"]
     gamma, delta = values["gamma"], values["delta"]
-    if alpha > gamma:
-        n_verdict = "bandwidth_dominates"
-    elif gamma > alpha:
-        n_verdict = "noise_dominates"
-    else:
-        n_verdict = "tie"
-    if beta > delta:
-        d_verdict = "signal_dominates"
-    elif delta > beta:
-        d_verdict = "noise_dominates"
-    else:
-        d_verdict = "tie"
+    d_noise = max(gamma, delta) if fit.law_id in _D_COUPLED_FAMILY else delta
     return ExponentReport(
         alpha=alpha, gamma=gamma, beta=beta, delta=delta,
-        n_axis_verdict=n_verdict, d_axis_verdict=d_verdict,
+        n_axis_verdict=_verdict(alpha, gamma, "bandwidth_dominates"),
+        d_axis_verdict=_verdict(beta, d_noise, "signal_dominates"),
     )

@@ -320,6 +320,10 @@ _BY_ID: dict[str, LawSpec] = {spec.law_id: spec for spec in _REGISTRY}
 
 LAW_IDS = tuple(_BY_ID)
 SHANNON_FAMILY = tuple(spec.law_id for spec in _REGISTRY if spec.capacity_family)
+#: The capacity forms whose interaction noise c*(D*N)^gamma grows with D
+#: as well as N; the size-only ablation's c*N^gamma does not.
+_D_COUPLED_FAMILY = tuple(law_id for law_id in SHANNON_FAMILY
+                          if law_id != "shannon_sizeonly_ablation")
 
 
 def law_registry() -> list[LawSpec]:

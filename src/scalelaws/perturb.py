@@ -40,8 +40,10 @@ import math
 import os
 import stat
 import struct
+import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence, TextIO
 
@@ -419,12 +421,14 @@ def _writing(*paths: str | Path) -> Iterator[list[TextIO]]:
     """UTF-8 text files for `paths`, all opened before the block runs
     (binary writes go to `.buffer`); the package's one way to write a
     file. A symlink is followed to its final target and stays a link. A
-    directory is refused before any file is made. An existing FIFO or
-    device is written in place. Any other target gets a new file beside
-    it, renamed over it (keeping a replaced file's permission bits) when
-    the block returns and deleted when it raises, so it is never left
-    half-written and may be a file the block reads. Errors name each
-    path as given."""
+    directory is refused before any file is made. The file open as
+    standard output (such as `/dev/stdout`) is written through
+    `sys.stdout`, after what the process printed before. An existing
+    FIFO or device is written in place. Any other target gets a new file
+    beside it, renamed over it (keeping a replaced file's permission
+    bits) when the block returns and deleted when it raises, so it is
+    never left half-written and may be a file the block reads. Errors
+    name each path as given."""
     targets = [_resolve(path) for path in paths]
     for path in filter(os.path.isdir, paths):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
@@ -433,7 +437,12 @@ def _writing(*paths: str | Path) -> Iterator[list[TextIO]]:
         with ExitStack() as stack:
             files = []
             for path, target in zip(paths, targets):
-                mode = os.stat(path).st_mode if os.path.exists(path) else None
+                status = os.stat(path) if os.path.exists(path) else None
+                if status is not None and _is_stdout(status):
+                    sys.stdout.flush()
+                    files.append(sys.stdout)
+                    continue
+                mode = None if status is None else status.st_mode
                 new = None if mode is not None and not stat.S_ISREG(mode) else \
                     target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
                 try:
@@ -452,6 +461,14 @@ def _writing(*paths: str | Path) -> Iterator[list[TextIO]]:
         for new, _ in renames:
             new.unlink(missing_ok=True)
         raise
+
+
+def _is_stdout(status: os.stat_result) -> bool:
+    """Whether `status` is that of the file open as standard output."""
+    try:
+        return os.path.samestat(status, os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):  # no stdout, or one without a descriptor
+        return False
 
 
 def perturb_wvec(
@@ -531,24 +548,37 @@ def _write_weights_text(fh: TextIO, w: WeightVector) -> None:
 
 
 def read_weights_text(path: str | Path, dtype_code: str = "f64") -> WeightVector:
+    """Weights from text, one value per line (blank lines skipped); a
+    value that is not numeric, or not finite in `dtype_code`, is an
+    error naming the file and its line."""
     if dtype_code not in _DTYPE_CODES:
         raise DataValidationError(f"dtype must be 'f32' or 'f64', got {dtype_code!r}")
     values = []
+    for line_no, line in _value_lines(path):
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise DataValidationError(f"{path}: line {line_no}: {line!r} is not numeric") from None
+    if not values:
+        raise DataValidationError(f"{path}: no values found")
+    dtype = np.float32 if dtype_code == "f32" else np.float64
+    with np.errstate(over="ignore"):  # beyond the float32 range becomes inf, refused below
+        values = np.asarray(values, dtype=dtype)
+    finite = np.isfinite(values)
+    if not finite.all():
+        line_no, line = next(islice(_value_lines(path), int(np.argmin(finite)), None))
+        raise DataValidationError(f"{path}: line {line_no}: {line!r} is not a finite "
+                                  f"{dtype_code} value")
+    return WeightVector(values)
+
+
+def _value_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line of a text file."""
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
-                if not line:
-                    continue
-                try:
-                    values.append(float(line))
-                except ValueError:
-                    raise DataValidationError(
-                        f"{path}: line {line_no}: {line!r} is not numeric"
-                    ) from None
+                if line:
+                    yield line_no, line
     except UnicodeDecodeError as exc:  # raised while iterating over the lines
         raise DataValidationError(f"{path}: not UTF-8 text ({exc})") from None
-    if not values:
-        raise DataValidationError(f"{path}: no values found")
-    dtype = np.float32 if dtype_code == "f32" else np.float64
-    return WeightVector(np.asarray(values, dtype=dtype))

@@ -384,6 +384,35 @@ class TestGridAndReportCommands:
         )
         assert "N axis" in stdout
 
+    @pytest.mark.parametrize("command, out", [
+        (["report", "--fit", "../fit.json"], "out.json"),
+        (["grid", "--fit", "../fit.json", "--n-min", "1", "--n-max", "10", "--d-min", "1",
+          "--d-max", "10", "--n-steps", "4", "--d-steps", "3"], "out.csv"),
+        (["wvec-pack", "--in", "../w.txt"], "out.wvec"),
+    ], ids=["report", "grid", "wvec_pack"])
+    def test_output_at_redirected_stdout(self, tmp_path, command, out):
+        """An --out that is the file standard output is redirected to is
+        written through standard output, so the file holds the output and
+        then the summary line, as piped output does; renaming a new file
+        over it would lose the summary line."""
+        (tmp_path / "fit.json").write_text(json.dumps({"fit": fit_record()}), encoding="utf-8")
+        (tmp_path / "w.txt").write_text("1.5\n-2.0\n", encoding="utf-8")
+        argv = [sys.executable, "-m", "scalelaws.cli", *command, "--out", out, "--no-timestamp"]
+        env = dict(os.environ, PYTHONPATH=str(Path(sl.__file__).resolve().parents[1]))
+        apart, redirected = tmp_path / "apart", tmp_path / "redirected"
+        apart.mkdir()
+        redirected.mkdir()
+        ran = subprocess.run(argv, cwd=apart, env=env, capture_output=True, timeout=300)
+        with open(redirected / out, "wb") as stdout:
+            ran_redirected = subprocess.run(argv, cwd=redirected, env=env, stdout=stdout,
+                                            stderr=subprocess.PIPE, timeout=300)
+        assert (ran.returncode, ran.stderr) == (ran_redirected.returncode,
+                                                ran_redirected.stderr) == (0, b"")
+        assert ran.stdout.count(b"\n") == 1
+        assert (redirected / out).read_bytes() == (apart / out).read_bytes() + ran.stdout
+        assert sorted(p.name for p in redirected.iterdir()) == sorted(
+            p.name for p in apart.iterdir())
+
     def test_report_on_baseline_fit_is_numeric_error(self, tmp_path, chinchilla_csv, capsys):
         fit_out = tmp_path / "fit.json"
         main(["fit", "--data", chinchilla_csv, "--law", "chinchilla",
@@ -525,6 +554,30 @@ class TestErrorContract:
                      "--out", str(tmp_path / "out.wvec")])
         self._assert_validation_error(code, capsys)
 
+    def test_json_integer_beyond_float_range(self, tmp_path, capsys):
+        """A 401-digit JSON integer is one validation line naming the row
+        and the column, as the same number in a CSV is."""
+        path = tmp_path / "big.json"
+        path.write_text('[{"model_id": "m", "n_params": ' + "1" * 401
+                        + ', "d_tokens": 1e9, "loss": 2.0}]', encoding="utf-8")
+        code = main(["fit", "--data", str(path), "--law", "chinchilla",
+                     "--out", str(tmp_path / "fit.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error[validation]: {path}: row 0: n_params must be a positive real, got inf\n")
+
+    def test_f32_value_beyond_range_is_one_line(self, tmp_path):
+        """A value the float32 cast overflows is one validation line naming
+        the file and its line, with no numpy warning before it."""
+        text = tmp_path / "w.txt"
+        text.write_text("1.5\n\n-2.0\n1e39\n", encoding="utf-8")
+        ran = run_cli(["wvec-pack", "--in", str(text), "--out", str(tmp_path / "w.wvec"),
+                       "--dtype", "f32"])
+        assert ran.returncode == 2
+        assert ran.stderr == (
+            f"error[validation]: {text}: line 4: '1e39' is not a finite f32 value\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.txt"]
+
     def test_output_in_missing_directory(self, tmp_path, wvec, capsys):
         code = main(["perturb", "--in", str(wvec), "--snr-db", "20",
                      "--out", str(tmp_path / "nodir" / "x.wvec")])
@@ -642,9 +695,9 @@ class TestErrorContract:
         (["--mode", "model", "--k", "2", "--j", "3"], "model mode takes no j"),
         (["--mode", "token", "--j", "2", "--k", "1,2,3"], "token mode takes no k"),
         (["--mode", "token", "--j", "2", "--joint-full-test"],
-         "--joint-full-test applies to joint mode only, not token"),
+         "token mode takes no joint_full_test"),
         (["--mode", "model", "--k", "2", "--joint-full-test"],
-         "--joint-full-test applies to joint mode only, not model"),
+         "model mode takes no joint_full_test"),
         (["--mode", "token"], "token mode requires j >= 1, got None"),
         (["--mode", "joint", "--j", "2"], "joint mode requires k >= 1, got None"),
     ], ids=["model_j", "token_k_list", "token_full_test", "model_full_test", "token_no_j",

@@ -99,6 +99,29 @@ class TestLoading:
                            match=f"row 0: {column}='true' is not numeric"):
             sl.load_observations(path)
 
+    @pytest.mark.parametrize("column, value, message", [
+        ("n_params", 10 ** 400, "n_params must be a positive real, got inf"),
+        ("d_tokens", -10 ** 400, "d_tokens must be a positive real, got -inf"),
+        ("loss", 10 ** 400, "loss must be a positive real, got inf"),
+        ("x_level", -10 ** 400, "x_level must be finite when present, got -inf"),
+    ], ids=["n_params", "d_tokens", "loss", "x_level"])
+    def test_json_integer_beyond_float_range(self, tmp_path, column, value, message):
+        """A JSON integer too large for a float reads as the same
+        validation error as the number written in a CSV cell."""
+        row = {"model_id": "m1", "n_params": 1e8, "d_tokens": 1e9, "loss": 2.5, "x_level": 40}
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps([row, dict(row, model_id="m2", **{column: value})]),
+                        encoding="utf-8")
+        with pytest.raises(sl.DataValidationError) as err:
+            sl.load_observations(path)
+        assert str(err.value) == f"{path}: row 1: {message}"
+        csv_path = write_csv(tmp_path / "obs.csv", [
+            f"{r['model_id']},{r['n_params']},{r['d_tokens']},{r['x_level']},{r['loss']},"
+            for r in (row, dict(row, model_id="m2", **{column: value}))])
+        with pytest.raises(sl.DataValidationError) as csv_err:
+            sl.load_observations(csv_path)
+        assert str(csv_err.value) == f"{csv_path}: row 2: {message}"
+
     @pytest.mark.parametrize("name", ["obs.csv", "obs.json"])
     def test_undecodable_text_names_the_file(self, tmp_path, name):
         path = tmp_path / name
@@ -151,6 +174,12 @@ class TestObservationInvariants:
         fields = {"model_id": "m", "n_params": 1.0, "d_tokens": 1.0, "loss": 1.0}
         fields.update(kwargs)
         with pytest.raises(sl.DataValidationError):
+            sl.Observation(**fields)
+
+    @pytest.mark.parametrize("name", ["n_params", "d_tokens", "loss", "x_level"])
+    def test_integer_beyond_float_range_rejected(self, name):
+        fields = {"model_id": "m", "n_params": 1.0, "d_tokens": 1.0, "loss": 1.0, name: 10 ** 400}
+        with pytest.raises(sl.DataValidationError, match=f"^{name} must be "):
             sl.Observation(**fields)
 
     def test_level_key_validation(self):

@@ -154,18 +154,18 @@ def _split_specs():
     return st.one_of(
         st.builds(lambda j: sl.SplitSpec("token", j=j), st.integers(1, 4)),
         st.builds(lambda k: sl.SplitSpec("model", k=k), st.integers(1, 4)),
-        st.builds(lambda j, k: sl.SplitSpec("joint", j=j, k=k),
-                  st.integers(1, 4), st.integers(1, 4)),
+        st.builds(lambda j, k, full: sl.SplitSpec("joint", j=j, k=k, joint_full_test=full),
+                  st.integers(1, 4), st.integers(1, 4), st.booleans()),
     )
 
 
 class TestSplitInvariants:
     @settings(max_examples=250, derandomize=True, deadline=None)
-    @given(observations=split_tables(), spec=_split_specs(), full=st.booleans())
-    def test_order_disjointness_and_coverage(self, observations, spec, full):
+    @given(observations=split_tables(), spec=_split_specs())
+    def test_order_disjointness_and_coverage(self, observations, spec):
         data = sl.ObservationSet(observations)
         try:
-            train, test = sl.make_split(data, spec, joint_full_test=full)
+            train, test = sl.make_split(data, spec)
         except sl.SplitError:
             return  # unsatisfiable for this table; the message is tested elsewhere
         train_pos = _positions(train, data)
@@ -182,7 +182,7 @@ class TestSplitInvariants:
             small = set(sl.distinct_axis_values(data, "N")[: spec.k])
             assert all(o.n_params in small for o in train)
             assert all(o.n_params not in small for o in test)
-        if spec.mode == "joint" and not full:
+        if spec.mode == "joint" and not spec.joint_full_test:
             horizon = max(o.d_tokens for o in train)
             assert all(o.d_tokens > horizon for o in test)
         if spec.mode == "token":

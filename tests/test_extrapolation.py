@@ -35,6 +35,15 @@ class TestSplitSpec:
             sl.SplitSpec("nope", j=1)
         assert sl.SplitSpec("joint", j=3, k=2).label() == "k=2,j=3"
 
+    def test_joint_full_test_only_in_joint_mode(self):
+        with pytest.raises(sl.DataValidationError, match="^token mode takes no joint_full_test$"):
+            sl.SplitSpec("token", j=3, joint_full_test=True)
+        with pytest.raises(sl.DataValidationError, match="^model mode takes no joint_full_test$"):
+            sl.SplitSpec("model", k=2, joint_full_test=True)
+        spec = sl.SplitSpec("joint", j=3, k=2, joint_full_test=True)
+        assert spec.label() == "k=2,j=3"
+        assert spec.to_dict() == {"mode": "joint", "j": 3, "k": 2, "joint_full_test": True}
+
 
 class TestMakeSplit:
     def test_token_counting_6x16x6(self):
@@ -70,8 +79,7 @@ class TestMakeSplit:
 
     def test_joint_full_test_flag(self):
         data = shannon_level_set()
-        _, test = sl.make_split(data, sl.SplitSpec("joint", j=12, k=5),
-                                joint_full_test=True)
+        _, test = sl.make_split(data, sl.SplitSpec("joint", j=12, k=5, joint_full_test=True))
         assert len(test) == 16 * 6  # every held-out-model observation
 
     def test_token_exhausting_checkpoints_is_unsatisfiable(self):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -336,6 +337,25 @@ class TestOptimalAlongAxis:
             sl.optimal_along_axis(sl.get_law("chinchilla"), params, "N", 2.0,
                                   (1.0, 10.0), 2)
 
+    @pytest.mark.parametrize("law_id, params, x, message", [
+        ("symmetric", sl.ParamVector("chinchilla", (1, 1, .5, .3, .3)), None,
+         "parameter vector is for chinchilla, law is symmetric"),
+        ("chinchilla", sl.ParamVector("chinchilla", (1, 1, .5, .3, .3)), 5.0,
+         "law chinchilla takes no x"),
+        ("qid", sl.ParamVector("qid", (1.0,) * 9), -1.0, "law qid requires x > 0"),
+        ("chinchilla", sl.ParamVector("openai", (1, 1, .5, .3)), None,
+         "parameter vector is for openai, law is chinchilla"),
+    ], ids=["other_law_params", "x_on_law_without_x", "x_outside_domain", "param_count"])
+    def test_refuses_what_grid_eval_refuses(self, law_id, params, x, message):
+        """The slice is evaluated with the grid's checks, so inputs that
+        grid_eval refuses raise the same LawDomainError text here."""
+        law = sl.get_law(law_id)
+        with pytest.raises(sl.LawDomainError) as grid_error:
+            sl.grid_eval(law, params, sl.GridSpec(0.1, 10.0, 0.1, 10.0, 3, 3), x=x)
+        with pytest.raises(sl.LawDomainError) as slice_error:
+            sl.optimal_along_axis(law, params, "N", 1.0, (0.1, 10.0), 11, x=x)
+        assert str(slice_error.value) == str(grid_error.value) == message
+
 
 class TestExponentReport:
     def test_reference_exponent_pattern(self):
@@ -367,6 +387,20 @@ class TestExponentReport:
         with pytest.raises(sl.LawDomainError):
             sl.exponent_report(make_fit_result("chinchilla", params))
 
+    def test_coupled_interaction_noise_counts_along_d(self):
+        """gamma = 0.8 > beta = 0.5 > delta = 0.3: in the D*N-coupled
+        forms the interaction noise outgrows the signal along D, so the
+        loss turns up along D; the size-only ablation's does not."""
+        values = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0, "e": 0.1,
+                  "alpha": 0.5, "beta": 0.5, "gamma": 0.8, "delta": 0.3}
+        for law_id, d_verdict in (("shannon_full", "noise_dominates"),
+                                  ("shannon_extended", "noise_dominates"),
+                                  ("shannon_sizeonly_ablation", "signal_dominates")):
+            params = sl.ParamVector.from_dict(law_id, values)
+            report = sl.exponent_report(make_fit_result(law_id, params))
+            assert (report.n_axis_verdict, report.d_axis_verdict) == (
+                "noise_dominates", d_verdict)
+
     def test_simplified_variant_supported(self):
         params = sl.ParamVector.from_dict(
             "shannon_simplified",
@@ -376,3 +410,79 @@ class TestExponentReport:
         report = sl.exponent_report(make_fit_result("shannon_simplified", params))
         assert report.n_axis_verdict == "bandwidth_dominates"
         assert report.d_axis_verdict == "noise_dominates"
+
+
+def _logsumexp(terms):
+    top = max(terms)
+    return top + math.log(sum(math.exp(t - top) for t in terms))
+
+
+def _ln_ln1p_exp(z):
+    """ln(ln(1 + e^z)) without overflow or underflow; beyond |z| = 40 the
+    dropped terms are below double rounding."""
+    if z > 40.0:
+        return math.log(z)
+    if z < -40.0:
+        return z
+    return math.log(math.log1p(math.exp(z)))
+
+
+def _ln_loss(law_id, values, ln_n, ln_d, ln_x):
+    """ln L of a capacity form as README's law table writes it, evaluated
+    in log space, so N and D far beyond the float range stay exact to
+    rounding. shannon_simplified has b = d = 1 and no e."""
+    ln = {name: math.log(v) for name, v in values.items()}
+    ln_coupled = ln_n if law_id == "shannon_sizeonly_ablation" else ln_d + ln_n
+    noise = [ln["c"] + values["gamma"] * ln_coupled, ln.get("d", 0.0) + values["delta"] * ln_d]
+    if "e" in ln:
+        noise.append(ln["e"])
+    ln_signal = ln.get("b", 0.0) + values["beta"] * ln_d
+    if law_id == "shannon_extended":
+        ln_signal += ln_x
+    ln_capacity = (ln["a"] + values["alpha"] * ln_n + _ln_ln1p_exp(ln_signal - _logsumexp(noise))
+                   - math.log(math.log(2.0)))
+    return -ln_capacity
+
+
+# Exponents on a 1/20 lattice, so that equal exponents (ties) are drawn
+# often; coefficients, the fixed coordinate and X within 1e-3..1e3.
+_EXPONENT = st.integers(1, 20).map(lambda k: k / 20)
+_LN_SCALE = st.floats(-3 * math.log(10), 3 * math.log(10))
+# Far end of each axis, as ln N or ln D. Any two distinct exponents
+# differ by at least 0.05, and every coefficient, fixed coordinate or X
+# ratio lies within e^(+-14) of 1, so at ln 1800 each sub-leading term
+# of the noise sum, and of log(1 + SNR), is below e^-40 of the leading
+# one: the loss follows its asymptotic exponent from there on.
+_FAR = (1800.0, 3600.0)
+
+
+class TestExponentVerdictsFollowTheLaw:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(data=st.data(), law_id=st.sampled_from(sl.SHANNON_FAMILY))
+    def test_verdict_matches_far_behaviour(self, data, law_id):
+        """On each axis, noise_dominates holds exactly when the loss rises
+        between the two far points, tie exactly when it levels off, and
+        the growth verdict exactly when it falls."""
+        law = sl.get_law(law_id)
+        values = {name: data.draw(_EXPONENT if name in ("alpha", "beta", "gamma", "delta")
+                                  else _LN_SCALE.map(math.exp), label=name)
+                  for name in law.param_names}
+        ln_n0, ln_d0, ln_x = (data.draw(_LN_SCALE, label=name) for name in ("ln_n", "ln_d", "ln_x"))
+        params = sl.ParamVector.from_dict(law_id, values)
+        x = math.exp(ln_x) if law.needs_x else None
+        # the log-space loss is the law's loss
+        assert _ln_loss(law_id, values, 0.0, 0.0, ln_x) == pytest.approx(
+            math.log(sl.predict_loss(law, params, 1.0, 1.0, x)), abs=1e-6)
+
+        report = sl.exponent_report(make_fit_result(law_id, params))
+        along_n = [_ln_loss(law_id, values, t, ln_d0, ln_x) for t in _FAR]
+        along_d = [_ln_loss(law_id, values, ln_n0, t, ln_x) for t in _FAR]
+        for verdict, (near, far) in ((report.n_axis_verdict, along_n),
+                                     (report.d_axis_verdict, along_d)):
+            change = far - near
+            if verdict == "noise_dominates":
+                assert change > 1.0
+            elif verdict == "tie":
+                assert abs(change) < 1e-9
+            else:
+                assert change < -0.1
