@@ -272,6 +272,10 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
 def cmd_grid(args: argparse.Namespace) -> int:
     result = read_fit(args.fit)
     law = with_orientation(get_law(result.law_id), result.x_orientation)
+    try:
+        law.check_x(args.x)
+    except LawDomainError as exc:  # an --x the fit's law refuses is a usage error
+        raise DataValidationError(str(exc)) from None
     spec = GridSpec(
         n_min=args.n_min, n_max=args.n_max,
         d_min=args.d_min, d_max=args.d_max,

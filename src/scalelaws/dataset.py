@@ -134,7 +134,9 @@ class ObservationSet:
     as integer codes into tuples of their distinct values. `observations`
     is a row view of `Observation` objects, built on first use and
     cached; a set built from observations keeps the given objects.
-    Construction checks that no two rows share a key. Subsets (`subset`,
+    Construction checks that the normalization takes every N and D to a
+    positive finite float, that each model_id has one n_params and that
+    no two rows share a key. Subsets (`subset`,
     splits, level groups) are masks of a checked set and are not checked
     again.
     """
@@ -159,6 +161,7 @@ class ObservationSet:
             np.array([np.nan if o.x_level is None else o.x_level for o in rows], dtype=float),
             model, model_ids, tag, tags, rows,
         )
+        self._check_scaled("", 0, "position")
         self._check_sizes("", 0, "positions")
         repeat = self._first_repeated_key()
         if repeat is not None:
@@ -189,6 +192,22 @@ class ObservationSet:
     @property
     def level_key(self) -> str:
         return self._level_key
+
+    def _check_scaled(self, where: str, first_no: int, unit: str) -> None:
+        """Refuse a normalization that takes a raw N or D to a float that is
+        not positive and finite, where no law can be evaluated. The first
+        such row is named as a `unit` numbered from `first_no`."""
+        for column, raw, name in (("n_params", self._n, "n_scale"),
+                                  ("d_tokens", self._d, "d_scale")):
+            scale = getattr(self._normalization, name)
+            with np.errstate(all="ignore"):
+                scaled = raw / scale
+            ok = np.isfinite(scaled) & (scaled > 0)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise DataValidationError(
+                    f"{where}{unit} {first_no + i}: {column} {float(raw[i])!r} / {name} "
+                    f"{scale!r} is not a positive finite float")
 
     def _check_sizes(self, where: str, first_no: int, unit: str) -> None:
         """Refuse a model_id at more than one n_params: token splits key on
@@ -365,8 +384,9 @@ def load_observations(
 
     Raises:
         DataValidationError: missing file or column, non-numeric cell,
-            non-positive N/D/loss, duplicate key, or a model_id with
-            more than one n_params. Row numbers are
+            non-positive N/D/loss, an N or D that `normalization` does
+            not take to a positive finite float, duplicate key, or a
+            model_id with more than one n_params. Row numbers are
             1-based data rows (header excluded) for CSV, array indices
             for JSON.
     """
@@ -403,6 +423,7 @@ def load_observations(
         raise DataValidationError(f"{path}: " + "; ".join(problems))
     out = ObservationSet.__new__(ObservationSet)
     out._assign(normalization, level_key, n, d, loss, x, model, model_ids, tag, tags, None)
+    out._check_scaled(f"{path}: ", first_row_no, "row")
     out._check_sizes(f"{path}: ", first_row_no, "rows")
     repeat = out._first_repeated_key()
     if repeat is not None:

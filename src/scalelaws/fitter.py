@@ -81,6 +81,10 @@ class FitConfig:
         objective_space: "loss" fits raw losses; "log_loss" fits their
             natural logs (useful when losses span orders of magnitude).
         x_orientation: Override of the law's X orientation for this fit.
+
+    starts, random_starts, seed and max_iters take a Python or numpy
+    integer, stored as int; a bool, a float or any other type raises
+    DataValidationError.
     """
 
     starts: int = 16
@@ -91,6 +95,11 @@ class FitConfig:
     x_orientation: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("starts", "random_starts", "seed", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DataValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.starts < 1:
             raise DataValidationError(f"starts must be >= 1, got {self.starts}")
         if self.random_starts < 0:

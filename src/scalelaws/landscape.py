@@ -2,11 +2,13 @@
 
 A loss grid evaluates a law on a log- or linear-spaced lattice over a
 rectangle of raw (N, D) values, recording non-evaluable cells as
-explicit error markers rather than NaNs. Basin detection asks whether
-the lattice minimum sits strictly inside the rectangle, and classifies
-each axis as decreasing, increasing, or U-shaped by majority over the
-per-slice shapes. A 1-D variant scans one axis and refines the best
-cell with a golden-section search.
+explicit error markers rather than NaNs. Cells and the 1-D scan below
+are evaluated by ``laws._checked_losses``, as ``predict_loss`` is, so a
+cell is an error marker exactly where ``predict_loss`` refuses it.
+Basin detection asks whether the lattice minimum sits strictly inside
+the rectangle, and classifies each axis as decreasing, increasing, or
+U-shaped by majority over the per-slice shapes. A 1-D variant scans one
+axis and refines the best cell with a golden-section search.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .dataset import IDENTITY_NORMALIZATION, Normalization
 from .errors import DataValidationError, LawDomainError
 from .fitter import FitResult
-from .laws import _D_COUPLED_FAMILY, SHANNON_FAMILY, LawSpec, ParamVector, evaluate_raw
+from .laws import _D_COUPLED_FAMILY, SHANNON_FAMILY, LawSpec, ParamVector, _checked_losses
 from .perturb import _writing
 
 SPACINGS = ("log", "linear")
@@ -115,20 +117,6 @@ class LossGrid:
                 [f"{prefix},{d},{loss}\r\n" for d, loss in zip(d_fields, losses)]))
 
 
-def _losses(law: LawSpec, params: ParamVector, n, d, x: float | None,
-            normalization: Normalization) -> tuple[np.ndarray, np.ndarray]:
-    """Losses at raw `n` and `d` (broadcast together) and the mask of
-    points whose loss is not a positive finite number. Raises
-    LawDomainError for another law's parameters or an X the law refuses."""
-    if params.law_id != law.law_id:
-        raise LawDomainError(f"parameter vector is for {params.law_id}, law is {law.law_id}")
-    law.check_x(x)
-    n, d = n / normalization.n_scale, d / normalization.d_scale
-    values = evaluate_raw(law, params.values, n, d, x)
-    values = np.broadcast_to(values, np.broadcast_shapes(np.shape(n), np.shape(d))).astype(float)
-    return values, ~np.isfinite(values) | (values <= 0)
-
-
 def grid_eval(
     law: LawSpec,
     params: ParamVector,
@@ -144,7 +132,9 @@ def grid_eval(
     non-evaluable.
     """
     n_axis, d_axis = spec.n_axis(), spec.d_axis()
-    values, mask = _losses(law, params, n_axis[:, None], d_axis[None, :], x, normalization)
+    with np.errstate(all="ignore"):
+        n, d = n_axis[:, None] / normalization.n_scale, d_axis[None, :] / normalization.d_scale
+    values, mask = _checked_losses(law, params, n, d, x)
     if mask.all():
         raise LawDomainError(f"{law.law_id}: entirely non-evaluable grid")
     values[mask] = 0.0
@@ -327,7 +317,9 @@ def optimal_along_axis(
 
     def losses(raw):
         n, d = (fixed_value, raw) if fixed_axis == "N" else (raw, fixed_value)
-        return _losses(law, params, n, d, x, normalization)
+        with np.errstate(all="ignore"):
+            n, d = n / normalization.n_scale, d / normalization.d_scale
+        return _checked_losses(law, params, n, d, x)
 
     values, bad = losses(lattice)
     if bad.all():

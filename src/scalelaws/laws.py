@@ -42,9 +42,10 @@ that builds the loss Jacobian only when called, so the fitter evaluates
 each point once; :func:`jacobian_fd_arrays` stays as the
 finite-difference oracle the derivatives are tested against.
 
-Evaluation is vectorized over numpy arrays. Non-evaluable points raise
-:class:`~scalelaws.errors.LawDomainError`; infinities and NaNs never
-escape into results.
+Evaluation is vectorized over numpy arrays. Predictions, grid cells and
+slice points come from one checked evaluator, ``_checked_losses``.
+:func:`predict_loss` raises :class:`~scalelaws.errors.LawDomainError` at
+a point it cannot evaluate; infinities and NaNs never escape into results.
 """
 
 from __future__ import annotations
@@ -444,26 +445,32 @@ def log_inputs(law: LawSpec, n: np.ndarray, d: np.ndarray, x: np.ndarray | None)
 # Validated evaluation
 # ---------------------------------------------------------------------
 
-def _coerce_inputs(law: LawSpec, n, d, x):
-    scalar = np.ndim(n) == 0 and np.ndim(d) == 0
-    n_arr = np.asarray(n, dtype=float)
-    d_arr = np.asarray(d, dtype=float)
-    if np.any(~np.isfinite(n_arr)) or np.any(n_arr <= 0):
-        raise LawDomainError("n must be positive and finite")
-    if np.any(~np.isfinite(d_arr)) or np.any(d_arr <= 0):
-        raise LawDomainError("d must be positive and finite")
-    return n_arr, d_arr, law.check_x(x), scalar
+def _checked_losses(law: LawSpec, params: ParamVector, n, d, x) -> tuple[np.ndarray, np.ndarray]:
+    """Losses at normalized n, d and x, broadcast together, and the mask of
+    those that are not positive finite numbers. Raises LawDomainError for
+    another law's parameters or an X the law refuses; n and d go unchecked."""
+    if params.law_id != law.law_id:
+        raise LawDomainError(f"parameter vector is for {params.law_id}, law is {law.law_id}")
+    x = law.check_x(x)
+    values = evaluate_raw(law, params.values, n, d, x)
+    shape = np.broadcast_shapes(np.shape(n), np.shape(d), np.shape(x))
+    values = np.broadcast_to(values, shape).astype(float)
+    return values, ~np.isfinite(values) | (values <= 0)
 
 
-def _finalize(values: np.ndarray, scalar: bool):
-    return float(values) if scalar and values.ndim == 0 else values
+def _positive(n, d) -> tuple[np.ndarray, np.ndarray]:
+    """n and d as float arrays; LawDomainError unless each is positive and finite."""
+    arrays = np.asarray(n, dtype=float), np.asarray(d, dtype=float)
+    for name, values in zip("nd", arrays):
+        if np.any(~np.isfinite(values)) or np.any(values <= 0):
+            raise LawDomainError(f"{name} must be positive and finite")
+    return arrays
 
 
-def _capacity_checked(law: LawSpec, params: ParamVector, n, d, x):
-    n_arr, d_arr, x_arr, scalar = _coerce_inputs(law, n, d, x)
+def _capacity_checked(law: LawSpec, params: ParamVector, n, d, x) -> np.ndarray:
     parts = tuple(map(float, params.values))
     with np.errstate(all="ignore"):
-        bandwidth, snr = law.form(parts, n_arr, d_arr, x_arr, law.x_orientation)[0]
+        bandwidth, snr = law.form(parts, n, d, law.check_x(x), law.x_orientation)[0]
         if np.any(~np.isfinite(snr)):
             raise LawDomainError(f"{law.law_id}: SNR overflowed to a non-finite value")
         cap = np.asarray(_capacity(bandwidth, snr), dtype=float)
@@ -471,7 +478,7 @@ def _capacity_checked(law: LawSpec, params: ParamVector, n, d, x):
         raise LawDomainError(f"{law.law_id}: zero capacity (SNR underflow); loss undefined")
     if np.any(~np.isfinite(cap)):
         raise LawDomainError(f"{law.law_id}: capacity overflowed")
-    return _finalize(cap, scalar)
+    return cap
 
 
 def capacity(params: ParamVector, n, d, x=None):
@@ -493,33 +500,28 @@ def capacity(params: ParamVector, n, d, x=None):
     law = get_law(params.law_id)
     if not law.capacity_family:
         raise LawDomainError(f"capacity is defined for {SHANNON_FAMILY}, not {law.law_id}")
-    return _capacity_checked(law, params, n, d, x)
+    cap = _capacity_checked(law, params, *_positive(n, d), x)
+    return float(cap) if cap.ndim == 0 else cap
 
 
 def predict_loss(law: LawSpec, params: ParamVector, n, d, x=None):
-    """Predicted positive test loss at (n, d[, x]) under `law`.
-
-    Capacity-family laws return the reciprocal of :func:`capacity`;
-    baselines return their closed form directly.
+    """Predicted positive test loss at (n, d[, x]) under `law`: the loss
+    of :func:`_checked_losses`, which grid cells and slice points share.
 
     Raises:
-        LawDomainError: propagated capacity errors, or a non-finite /
-            non-positive predicted loss.
+        LawDomainError: non-positive n or d, another law's parameters, a
+            missing/forbidden x, the capacity error of a capacity-family
+            law, or a non-finite / non-positive predicted loss.
     """
-    if params.law_id != law.law_id:
-        raise LawDomainError(
-            f"parameter vector is for {params.law_id}, law is {law.law_id}"
-        )
-    if law.capacity_family:
-        values = 1.0 / _capacity_checked(law, params, n, d, x)
-    else:
-        n_arr, d_arr, x_arr, scalar = _coerce_inputs(law, n, d, x)
-        values = _finalize(evaluate_raw(law, params.values, n_arr, d_arr, x_arr), scalar)
-    if np.any(~np.isfinite(values)):
-        raise LawDomainError(f"{law.law_id}: prediction overflowed to a non-finite value")
-    if np.any(values <= 0):
+    n, d = _positive(n, d)
+    values, bad = _checked_losses(law, params, n, d, x)
+    if bad.any():
+        if law.capacity_family:
+            _capacity_checked(law, params, n, d, x)  # raises the error that names a failing C
+        if np.any(~np.isfinite(values)):
+            raise LawDomainError(f"{law.law_id}: prediction overflowed to a non-finite value")
         raise LawDomainError(f"{law.law_id}: non-positive predicted loss")
-    return values
+    return float(values) if values.ndim == 0 else values
 
 
 def observed_x(law: LawSpec, data: ObservationSet) -> np.ndarray | None:

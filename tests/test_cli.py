@@ -77,6 +77,23 @@ class TestFitCommand:
         assert "timestamp" not in payload["manifest"]
         assert "r2_train=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--law", "chinchilla", "--n-scale", "1e-300"],
+         "row 17: n_params 410000000.0 / n_scale 1e-300"),
+        (["compare", "--laws", "chinchilla", "--n-scale", "1e-300"],
+         "row 17: n_params 410000000.0 / n_scale 1e-300"),
+        (["extrapolate", "--laws", "chinchilla", "--mode", "token", "--j", "8",
+          "--d-scale", "1e-320"], "row 1: d_tokens 4200000000.0 / d_scale 1e-320"),
+    ], ids=["fit", "compare", "extrapolate"])
+    def test_scale_flag_that_overflows_is_one_line(self, chinchilla_csv, argv, message):
+        """A scale under which a raw N or D leaves the float range is a
+        validation error naming the file, the first such row, the column
+        and the scale, with no numpy warning before it."""
+        ran = run_cli([*argv, "--data", chinchilla_csv, "--starts", "2"])
+        assert ran.returncode == 2
+        assert ran.stderr == (f"error[validation]: {chinchilla_csv}: {message} "
+                              "is not a positive finite float\n")
+
     def test_missing_law_flag_is_usage_error(self, chinchilla_csv, capsys):
         code = main(["fit", "--data", chinchilla_csv])
         capsys.readouterr()
@@ -412,6 +429,44 @@ class TestGridAndReportCommands:
         assert (redirected / out).read_bytes() == (apart / out).read_bytes() + ran.stdout
         assert sorted(p.name for p in redirected.iterdir()) == sorted(
             p.name for p in apart.iterdir())
+
+    @pytest.mark.parametrize("law_id, x, message", [
+        ("shannon_full", "3", "law shannon_full takes no x"),
+        ("qid", None, "law qid requires x"),
+        ("qid", "-1", "law qid requires x > 0"),
+        ("qid", "nan", "x must be finite"),
+    ], ids=["x_on_law_without_x", "missing_x", "x_outside_domain", "x_not_finite"])
+    def test_x_the_law_refuses_is_a_usage_error(self, tmp_path, capsys, law_id, x, message):
+        """--x is checked against the fit's law before any work: a value
+        the law refuses is one validation line with exit 2."""
+        law = sl.get_law(law_id)
+        record = sl.FitResult(
+            law_id=law_id, params=sl.ParamVector(law_id, (1.0,) * law.n_params),
+            normalization=sl.Normalization(1.0, 1.0), sse=0.0, r2_train=1.0, n_obs=1,
+            converged=True, iterations_used=0, start_index_won=0, seed=0,
+            objective_space="loss", x_orientation="mitigating" if law.needs_x else None,
+        ).to_dict()
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps({"fit": record}), encoding="utf-8")
+        code = main(["grid", "--fit", str(fit_path), "--n-min", "1", "--n-max", "10",
+                     "--d-min", "1", "--d-max", "10", "--out", str(tmp_path / "g.csv"),
+                     *(["--x", x] if x is not None else [])])
+        assert code == 2
+        assert capsys.readouterr().err == f"error[validation]: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fit.json"]
+
+    def test_overflowing_normalization_is_one_line(self, tmp_path):
+        """A fit whose n_scale takes every grid N past the float range
+        leaves no evaluable cell; the run says so on one line, with no
+        numpy warning before it."""
+        record = fit_record()
+        record["normalization"]["n_scale"] = 1e-300
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps({"fit": record}), encoding="utf-8")
+        ran = run_cli(["grid", "--fit", str(fit_path), "--n-min", "1e8", "--n-max", "1e10",
+                       "--d-min", "1", "--d-max", "10", "--out", str(tmp_path / "g.csv")])
+        assert ran.returncode == 3
+        assert ran.stderr == "error[numeric]: shannon_full: entirely non-evaluable grid\n"
 
     def test_report_on_baseline_fit_is_numeric_error(self, tmp_path, chinchilla_csv, capsys):
         fit_out = tmp_path / "fit.json"

@@ -316,3 +316,43 @@ class TestModelIdInvariant:
             sl.ObservationSet(observations)
         assert str(info.value) == ("model_id 'm0' has more than one n_params: "
                                    "100000000.0 (positions 0, 1, 2), 1000000000.0 (positions 3)")
+
+
+class TestScaledBounds:
+    """A normalization must take every raw N and D to a positive finite
+    float, or no law could be evaluated on the set."""
+
+    ROWS = [("m1", 1e8, 1e9), ("m2", 3.2e9, 1e9), ("m3", 4e9, 2e9)]
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    @pytest.mark.parametrize("norm, row, message", [
+        (sl.Normalization(1e-300, 1e9), 1, "n_params 3200000000.0 / n_scale 1e-300"),
+        (sl.Normalization(1e9, 1e-320), 0, "d_tokens 1000000000.0 / d_scale 1e-320"),
+        (sl.Normalization(1e9, 1e300), None, None),
+    ], ids=["n_overflows", "d_overflows", "d_tiny_but_positive"])
+    def test_file(self, tmp_path, suffix, norm, row, message):
+        path = tmp_path / f"obs{suffix}"
+        if suffix == ".csv":
+            write_csv(path, [f"{m},{n!r},{d!r},,2.5," for m, n, d in self.ROWS])
+        else:
+            path.write_text(json.dumps([{"model_id": m, "n_params": n, "d_tokens": d, "loss": 2.5}
+                                        for m, n, d in self.ROWS]), encoding="utf-8")
+        if message is None:
+            assert len(sl.load_observations(path, normalization=norm)) == 3
+            return
+        with pytest.raises(sl.DataValidationError) as err:
+            sl.load_observations(path, normalization=norm)
+        row_no = row + (1 if suffix == ".csv" else 0)
+        assert str(err.value) == (
+            f"{path}: row {row_no}: {message} is not a positive finite float")
+
+    def test_in_memory_set(self):
+        observations = [sl.Observation(m, n, d, 2.5) for m, n, d in self.ROWS]
+        with pytest.raises(sl.DataValidationError) as err:
+            sl.ObservationSet(observations, normalization=sl.Normalization(1.0, 1e-310))
+        assert str(err.value) == (
+            "position 0: d_tokens 1000000000.0 / d_scale 1e-310 is not a positive finite float")
+        underflow = [sl.Observation("m0", 1e-30, 1e9, 2.5)]
+        with pytest.raises(sl.DataValidationError,
+                           match=r"^position 0: n_params 1e-30 / n_scale 1e\+300 is"):
+            sl.ObservationSet(underflow, normalization=sl.Normalization(1e300, 1.0))

@@ -15,6 +15,7 @@ from scalelaws.fitter import (
     _lm_minimize,
     enumerate_starts,
     fit_result_from_dict,
+    read_fit,
 )
 
 from synth import X_LEVELS, grid_set, random_params
@@ -396,3 +397,34 @@ class TestFitRecord:
         )
         assert fit_result_from_dict(result.to_dict()) == result
         assert fit_result_from_dict(json.loads(json.dumps(result.to_dict()))) == result
+
+
+class TestFitConfigCounts:
+    COUNTS = ["starts", "random_starts", "seed", "max_iters"]
+
+    @pytest.mark.parametrize("name", COUNTS)
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.bool_(True), "2", None],
+                             ids=["float", "integral_float", "bool", "numpy_bool", "str", "none"])
+    def test_non_integer_refused(self, name, value):
+        with pytest.raises(sl.DataValidationError) as err:
+            FitConfig(**{name: value})
+        assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("name", COUNTS)
+    @pytest.mark.parametrize("value", [np.int64(3), np.uint8(3), 3])
+    def test_integer_stored_as_int(self, name, value):
+        stored = getattr(FitConfig(**{name: value}), name)
+        assert type(stored) is int and stored == 3
+
+    def test_numpy_seed_round_trips(self, tmp_path):
+        """The fit record of a numpy-integer seed is JSON that read_fit
+        accepts and rebuilds into the same result."""
+        law = sl.get_law("chinchilla")
+        data = grid_set(law, sl.ParamVector("chinchilla", (2.0, 3.0, 1.0, 0.5, 0.5)),
+                        N_GRID, D_GRID)
+        result = sl.fit(law, data, FitConfig(starts=2, random_starts=1, seed=np.uint32(5),
+                                             max_iters=50))
+        assert type(result.seed) is int
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps({"fit": result.to_dict()}), encoding="utf-8")
+        assert read_fit(str(path)) == result

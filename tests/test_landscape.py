@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from scalelaws.landscape import SPACINGS, LossGrid, classify_slice
 from synth import random_params
 
 IDENT = sl.Normalization(1.0, 1.0)
+#: Every law in every X orientation it takes: 13 cases.
+ORIENTED_LAWS = [sl.with_orientation(law, orientation) for law in sl.law_registry()
+                 for orientation in (("mitigating", "amplifying") if law.needs_x else (None,))]
 
 
 def make_fit_result(law_id, params, normalization=IDENT):
@@ -129,6 +133,53 @@ class TestGridEval:
             for i, n in enumerate(grid.n_values):
                 for j, d in enumerate(grid.d_values):
                     assert grid.values[i, j] == sl.predict_loss(law, params, n, d)
+
+    @pytest.mark.parametrize("law", ORIENTED_LAWS, ids=lambda law: f"{law.law_id}-{law.x_orientation}")
+    def test_cells_equal_predict_loss_bit_for_bit(self, law):
+        """Grid cells and predictions come from one evaluator: every cell
+        holds predict_loss at its normalized point, bit for bit, and is
+        masked exactly where predict_loss refuses the point. The draws
+        reach overflow and underflow, and qid's X^(-+gamma) lands on
+        points where Python's float pow and numpy's array pow differ in
+        the last bit. Each point goes to predict_loss as one-element
+        arrays, as numpy's scalar pow is the C library's, like Python's."""
+        rng = np.random.default_rng(29)
+        spec = sl.GridSpec(0.05, 50.0, 0.05, 50.0, 9, 11, spacing="linear")
+        masked = 0
+        for draw in range(12):
+            spread = 6.0 if draw % 3 == 0 else 1.0
+            params = sl.ParamVector(law.law_id, tuple(
+                np.exp(rng.uniform(-2.0, 1.5, law.n_params) * spread).tolist()))
+            norm = sl.Normalization(*np.exp(rng.uniform(-3.0, 3.0, 2)).tolist())
+            x = float(rng.uniform(0.5, 8.0)) if law.needs_x else None
+            try:
+                grid = sl.grid_eval(law, params, spec, x=x, normalization=norm)
+                values, mask = grid.values, grid.error_mask
+            except sl.LawDomainError:
+                values, mask = np.zeros((9, 11)), np.ones((9, 11), dtype=bool)
+            for i, n in enumerate(spec.n_axis() / norm.n_scale):
+                for j, d in enumerate(spec.d_axis() / norm.d_scale):
+                    point = (law, params, np.array([n]), np.array([d]), x)
+                    if mask[i, j]:
+                        with pytest.raises(sl.LawDomainError):
+                            sl.predict_loss(*point)
+                    else:
+                        assert values[i, j] == sl.predict_loss(*point)[0], (draw, i, j)
+            masked += int(mask.sum())
+        assert 0 < masked < 12 * 9 * 11
+
+    def test_x_power_beyond_float_range_is_masked(self):
+        """X^gamma past the float range is a point predict_loss refuses,
+        so the grid masks it and the slice skips it; neither raises the
+        OverflowError of Python's float pow."""
+        law = sl.with_orientation(sl.get_law("qid"), "amplifying")
+        params = sl.ParamVector("qid", (1.0,) * 8 + (400.0,))
+        with pytest.raises(sl.LawDomainError, match="prediction overflowed"):
+            sl.predict_loss(law, params, 1.0, 1.0, 10.0)
+        with pytest.raises(sl.LawDomainError, match="entirely non-evaluable grid"):
+            sl.grid_eval(law, params, sl.GridSpec(1.0, 10.0, 1.0, 10.0, 3, 3), x=10.0)
+        with pytest.raises(sl.LawDomainError, match="non-evaluable slice"):
+            sl.optimal_along_axis(law, params, "N", 1.0, (0.1, 10.0), 11, x=10.0)
 
     def test_normalization_applied(self):
         params = sl.ParamVector("chinchilla", (1.0, 1.0, 1.0, 1.0, 1.0))
@@ -330,6 +381,25 @@ class TestOptimalAlongAxis:
         assert value == pytest.approx(
             sl.predict_loss(law, params, 2.0, arg), rel=1e-12
         )
+
+    def test_overflowing_normalization_warns_nothing(self):
+        """N / n_scale past the float range is a masked point, not a numpy
+        warning: the grid and the slice divide under errstate."""
+        law = sl.get_law("shannon_full")
+        params = sl.ParamVector("shannon_full", (1.0, 2.0, 0.05, 0.005, 0.05, 0.2, 0.8, 0.7, 1.6))
+        norm = sl.Normalization(1e-300, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sl.LawDomainError, match="entirely non-evaluable grid"):
+                sl.grid_eval(law, params, sl.GridSpec(1e8, 1e10, 1.0, 10.0, 3, 3),
+                             normalization=norm)
+            with pytest.raises(sl.LawDomainError, match="non-evaluable slice"):
+                sl.optimal_along_axis(law, params, "N", 1e9, (1.0, 10.0), 11,
+                                      normalization=norm)
+            arg, value, _ = sl.optimal_along_axis(law, params, "D", 1.0, (1e-305, 1e10), 27,
+                                                  normalization=norm)
+        assert arg < 1.8e8 and value == pytest.approx(
+            sl.predict_loss(law, params, arg / 1e-300, 1.0), rel=1e-12)
 
     def test_low_resolution_rejected(self):
         params = sl.ParamVector("chinchilla", (1.0, 1.0, 0.5, 0.7, 0.6))

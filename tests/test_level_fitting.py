@@ -172,6 +172,24 @@ class TestSplitOnce:
         assert callers == {("laws", "evaluate"), ("laws", "_capacity_checked")}
         assert not defined & {"evaluate_with_jacobian", "_capacity_gradient"}
 
+    def test_one_checked_evaluator(self):
+        """predict_loss, grid_eval and optimal_along_axis evaluate a law
+        only through laws._checked_losses: in the library, evaluate_raw is
+        called there and by the finite-difference oracle alone, and
+        evaluate only in laws.py and by the fitter's objective."""
+        callers = {"evaluate": set(), "evaluate_raw": set()}
+        for path in Path(scalelaws.__file__).parent.glob("*.py"):
+            for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(statement):
+                    if isinstance(node, ast.Call):
+                        called = getattr(node.func, "attr", getattr(node.func, "id", None))
+                        if called in callers:
+                            callers[called].add((path.stem, getattr(statement, "name", None)))
+        assert callers["evaluate_raw"] == {("laws", "_checked_losses"),
+                                           ("laws", "jacobian_fd_arrays")}
+        assert {caller for caller in callers["evaluate"] if caller[0] != "laws"} == {
+            ("fitter", "_Objective")}
+
 
 class TestLevels:
     def test_level_free_table_extrapolates_as_one_level(self, tmp_path, capsys):
