@@ -161,14 +161,7 @@ class ObservationSet:
             np.array([np.nan if o.x_level is None else o.x_level for o in rows], dtype=float),
             model, model_ids, tag, tags, rows,
         )
-        self._check_scaled("", 0, "position")
-        self._check_sizes("", 0, "positions")
-        repeat = self._first_repeated_key()
-        if repeat is not None:
-            raise DataValidationError(
-                f"duplicate observation key {self.observations[repeat[1]].key()} "
-                f"at positions {repeat[0]} and {repeat[1]}"
-            )
+        self._check("", 0, "position")
 
     def _assign(self, normalization, level_key, n, d, loss, x,
                 model, model_ids, tag, tags, rows) -> None:
@@ -192,6 +185,18 @@ class ObservationSet:
     @property
     def level_key(self) -> str:
         return self._level_key
+
+    def _check(self, where: str, first_no: int, unit: str) -> None:
+        """The set's construction checks. Errors start with `where` and name
+        rows as `unit`s numbered from `first_no`."""
+        self._check_scaled(where, first_no, unit)
+        self._check_sizes(where, first_no, unit + "s")
+        repeat = self._first_repeated_key()
+        if repeat is not None:
+            i, j = (first_no + r for r in repeat)
+            raise DataValidationError(
+                f"{where}{unit} {j}: duplicate observation key "
+                f"{self.observations[repeat[1]].key()}, first at {unit} {i}")
 
     def _check_scaled(self, where: str, first_no: int, unit: str) -> None:
         """Refuse a normalization that takes a raw N or D to a float that is
@@ -423,15 +428,7 @@ def load_observations(
         raise DataValidationError(f"{path}: " + "; ".join(problems))
     out = ObservationSet.__new__(ObservationSet)
     out._assign(normalization, level_key, n, d, loss, x, model, model_ids, tag, tags, None)
-    out._check_scaled(f"{path}: ", first_row_no, "row")
-    out._check_sizes(f"{path}: ", first_row_no, "rows")
-    repeat = out._first_repeated_key()
-    if repeat is not None:
-        i, j = (first_row_no + r for r in repeat)
-        raise DataValidationError(
-            f"{path}: row {j}: duplicate observation key "
-            f"{out.observations[repeat[1]].key()}, first at row {i}"
-        )
+    out._check(f"{path}: ", first_row_no, "row")
     return out
 
 

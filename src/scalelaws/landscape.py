@@ -8,7 +8,7 @@ cell is an error marker exactly where ``predict_loss`` refuses it.
 Basin detection asks whether the lattice minimum sits strictly inside
 the rectangle, and classifies each axis as decreasing, increasing, or
 U-shaped by majority over the per-slice shapes. A 1-D variant scans one
-axis and refines the best cell with a golden-section search.
+axis on a log lattice, then zooms on the best point with finer ones.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ INCREASING = "increasing"
 U_SHAPED = "u_shaped"
 MIXED = "mixed"
 
-_GOLDEN_TOL = 1e-12
-_GOLDEN_MAX_ITERS = 200
+_ZOOM_POINTS = 9
+_ZOOM_TOL = 1e-12
+_ZOOM_MAX_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -288,7 +289,12 @@ def optimal_along_axis(
     x: float | None = None,
     normalization: Normalization = IDENTITY_NORMALIZATION,
 ) -> tuple[float, float, str]:
-    """Scan the non-fixed axis on a log lattice and refine the best cell.
+    """Scan the non-fixed axis on a log lattice, then zoom on the best point.
+
+    Each zoom round re-scans a 9-point log lattice between the best
+    point's two neighbours and keeps the best point seen, until the
+    bracket is narrower than 1e-12 in log space. Every point goes to
+    ``laws._checked_losses`` as float arrays, as grid cells do.
 
     Args:
         fixed_axis: "N" holds model size fixed and scans D; "D" holds
@@ -315,8 +321,9 @@ def optimal_along_axis(
 
     lattice = np.geomspace(lo, hi, resolution)
 
-    def losses(raw):
-        n, d = (fixed_value, raw) if fixed_axis == "N" else (raw, fixed_value)
+    def losses(lattice):
+        fixed = np.full_like(lattice, fixed_value)
+        n, d = (fixed, lattice) if fixed_axis == "N" else (lattice, fixed)
         with np.errstate(all="ignore"):
             n, d = n / normalization.n_scale, d / normalization.d_scale
         return _checked_losses(law, params, n, d, x)
@@ -326,40 +333,23 @@ def optimal_along_axis(
         raise LawDomainError(f"{law.law_id}: non-evaluable slice")
     classification, _ = classify_slice(values, ~bad)
 
-    masked = np.where(bad, np.inf, values)
-    best_idx = int(np.argmin(masked))
-    best_arg = float(lattice[best_idx])
-    best_val = float(masked[best_idx])
-
-    # Golden-section refinement in log space around the best cell.
-    left = math.log(lattice[max(best_idx - 1, 0)])
-    right = math.log(lattice[min(best_idx + 1, resolution - 1)])
-    if right > left:
-        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-        def f(t: float) -> float:
-            value, bad = losses(math.exp(t))
-            return math.inf if bad else float(value)
-
-        a, b = left, right
-        c = b - inv_phi * (b - a)
-        d_pt = a + inv_phi * (b - a)
-        fc, fd = f(c), f(d_pt)
-        for _ in range(_GOLDEN_MAX_ITERS):
-            if b - a <= _GOLDEN_TOL * max(1.0, abs(a) + abs(b)):
-                break
-            if fc < fd:
-                b, d_pt, fd = d_pt, c, fc
-                c = b - inv_phi * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d_pt, fd
-                d_pt = a + inv_phi * (b - a)
-                fd = f(d_pt)
-        for t, ft in ((c, fc), (d_pt, fd)):
-            if ft < best_val:
-                best_val = ft
-                best_arg = math.exp(t)
+    # The bracket spans two of the zoom lattice's eight equal log steps (one
+    # at an end): each round narrows it fourfold, so the normal float
+    # range's log width of ~1418 reaches the tolerance (>= 1e-12) within 26
+    # rounds. Among subnormals the lattice repeats points and the bracket
+    # can stop narrowing; the round cap ends that case.
+    best_arg, best_val = lo, math.inf
+    for _ in range(_ZOOM_MAX_ROUNDS):
+        masked = np.where(bad, np.inf, values)
+        i = int(np.argmin(masked))
+        if masked[i] < best_val:
+            best_arg, best_val = float(lattice[i]), float(masked[i])
+        left, right = lattice[max(i - 1, 0)], lattice[min(i + 1, lattice.size - 1)]
+        ln_left, ln_right = math.log(left), math.log(right)
+        if ln_right - ln_left <= _ZOOM_TOL * max(1.0, abs(ln_left) + abs(ln_right)):
+            break
+        lattice = np.geomspace(left, right, _ZOOM_POINTS)
+        values, bad = losses(lattice)
     return best_arg, best_val, classification
 
 

@@ -317,6 +317,15 @@ class TestModelIdInvariant:
         assert str(info.value) == ("model_id 'm0' has more than one n_params: "
                                    "100000000.0 (positions 0, 1, 2), 1000000000.0 (positions 3)")
 
+    def test_in_memory_duplicate_key_names_positions(self):
+        """An in-memory set names a repeated key as the loader does, with
+        0-based positions for rows."""
+        observations = [sl.Observation("m0", 1e8, d, 2.0) for d in (1e9, 2e9, 1e9)]
+        with pytest.raises(sl.DataValidationError) as info:
+            sl.ObservationSet(observations)
+        assert str(info.value) == ("position 2: duplicate observation key "
+                                   "('m0', 1000000000.0, None, None), first at position 0")
+
 
 class TestScaledBounds:
     """A normalization must take every raw N and D to a positive finite

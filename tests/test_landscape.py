@@ -382,6 +382,83 @@ class TestOptimalAlongAxis:
             sl.predict_loss(law, params, 2.0, arg), rel=1e-12
         )
 
+    @pytest.mark.parametrize("fixed_axis", ["N", "D"])
+    def test_refined_argmin_matches_closed_form(self, fixed_axis):
+        """symmetric, a*u^-1 + b*u + c in u = D^beta/N^alpha, is least at
+        u = sqrt(a/b): D* = (a/b)^(1/(2 beta)) N^(alpha/beta) for fixed N and
+        N* = (b/a)^(1/(2 alpha)) D^(beta/alpha) for fixed D. Every draw
+        puts the optimum 1 to 4 decades inside the search range."""
+        law = sl.get_law("symmetric")
+        rng = np.random.default_rng(30)
+        worst = 0.0
+        for _ in range(40):
+            a, b = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+            c = 10.0 ** rng.uniform(-1.0, 0.0)
+            alpha, beta = rng.uniform(0.2, 1.0, 2)
+            fixed = 10.0 ** rng.uniform(-2.0, 3.0)
+            if fixed_axis == "N":
+                exact = (a / b) ** (1 / (2 * beta)) * fixed ** (alpha / beta)
+            else:
+                exact = (b / a) ** (1 / (2 * alpha)) * fixed ** (beta / alpha)
+            low, high = exact / 10.0 ** rng.uniform(1.0, 4.0), exact * 10.0 ** rng.uniform(1.0, 4.0)
+            params = sl.ParamVector("symmetric", (a, b, c, alpha, beta))
+            arg, _, classification = sl.optimal_along_axis(
+                law, params, fixed_axis, fixed, (low, high), 33)
+            assert classification == "u_shaped"
+            worst = max(worst, abs(arg / exact - 1.0))
+        assert worst <= 1e-6
+
+    @pytest.mark.parametrize("law", ORIENTED_LAWS, ids=lambda law: f"{law.law_id}-{law.x_orientation}")
+    def test_value_equals_predict_loss_bit_for_bit(self, law):
+        """A slice is evaluated as grid cells are: the value it returns is
+        predict_loss at (fixed, arg) passed as one-element arrays, bit for
+        bit, and a slice it refuses has no point predict_loss accepts. The
+        draws reach masked lattice points, and points where Python's float
+        pow and numpy's array pow differ in the last bit."""
+        rng = np.random.default_rng(30)
+        masked = 0
+        for draw in range(12):
+            spread = 6.0 if draw % 3 == 0 else 1.0
+            params = sl.ParamVector(law.law_id, tuple(
+                np.exp(rng.uniform(-2.0, 1.5, law.n_params) * spread).tolist()))
+            norm = sl.Normalization(*np.exp(rng.uniform(-3.0, 3.0, 2)).tolist())
+            x = float(rng.uniform(0.5, 8.0)) if law.needs_x else None
+            fixed_axis = "ND"[draw % 2]
+            fixed = float(np.exp(rng.uniform(-3.0, 3.0)))
+            lattice = np.geomspace(0.05, 50.0, 33)
+
+            def point(arg):
+                n, d = (fixed, arg) if fixed_axis == "N" else (arg, fixed)
+                return (law, params, np.array([n / norm.n_scale]),
+                        np.array([d / norm.d_scale]), x)
+
+            refused = []
+            for arg in lattice:
+                try:
+                    sl.predict_loss(*point(arg))
+                except sl.LawDomainError:
+                    refused.append(arg)
+            masked += len(refused)
+            if len(refused) == lattice.size:
+                with pytest.raises(sl.LawDomainError, match="non-evaluable slice"):
+                    sl.optimal_along_axis(law, params, fixed_axis, fixed, (0.05, 50.0), 33,
+                                          x=x, normalization=norm)
+                continue
+            arg, value, _ = sl.optimal_along_axis(law, params, fixed_axis, fixed,
+                                                  (0.05, 50.0), 33, x=x, normalization=norm)
+            assert value == sl.predict_loss(*point(arg))[0], draw
+        assert 0 < masked < 12 * 33
+
+    def test_subnormal_bracket_ends(self):
+        """Among subnormal floats the zoom lattice repeats points and the
+        bracket can stop narrowing; the search still ends, at the optimum
+        D* = N of a = b, alpha = beta."""
+        law = sl.get_law("symmetric")
+        params = sl.ParamVector("symmetric", (1.0, 1.0, 0.5, 1.0, 1.0))
+        for high in (3e-323, 1e-300):
+            arg, value, _ = sl.optimal_along_axis(law, params, "N", 1e-323, (5e-324, high), 33)
+            assert (arg, value) == (1e-323, 2.5)
+
     def test_overflowing_normalization_warns_nothing(self):
         """N / n_scale past the float range is a masked point, not a numpy
         warning: the grid and the slice divide under errstate."""

@@ -190,6 +190,27 @@ class TestSplitOnce:
         assert {caller for caller in callers["evaluate"] if caller[0] != "laws"} == {
             ("fitter", "_Objective")}
 
+    def test_landscape_evaluates_float_arrays(self, monkeypatch):
+        """grid_eval and optimal_along_axis hand the checked evaluator n and
+        d as float ndarrays on every call, so each value comes from numpy's
+        array pow, as predict_loss's does; a Python float would take the C
+        library's scalar pow, which can differ in the last bit."""
+        import scalelaws.landscape as landscape
+        kinds = []
+
+        def recording(law, params, n, d, x):
+            kinds.append(tuple(f"{type(v).__name__}[{getattr(v, 'dtype', '')}]" for v in (n, d)))
+            return sl.laws._checked_losses(law, params, n, d, x)
+
+        monkeypatch.setattr(landscape, "_checked_losses", recording)
+        law = sl.get_law("shannon_full")
+        params = sl.ParamVector("shannon_full", (1.0, 2.0, 1e-4, 0.05, 0.1, 0.4, 0.5, 0.3, 1.4))
+        sl.grid_eval(law, params, sl.GridSpec(0.1, 10.0, 0.1, 10.0, 4, 5))
+        for fixed_axis in "ND":
+            sl.optimal_along_axis(law, params, fixed_axis, 2.0, (1e-2, 1e5), 33)
+        assert len(kinds) > 3
+        assert set(kinds) == {("ndarray[float64]", "ndarray[float64]")}
+
 
 class TestLevels:
     def test_level_free_table_extrapolates_as_one_level(self, tmp_path, capsys):
