@@ -3,9 +3,12 @@
 Parameters are optimized in unconstrained log coordinates u = ln(theta),
 which makes positivity structural. Each start runs a damped
 Gauss-Newton (Levenberg-Marquardt) iteration with the law's analytic
-Jacobian in those coordinates. One ``laws.evaluate`` call per point
-gives its residuals and a closure that builds its Jacobian once the
-point is accepted, so no point is evaluated twice. Accepted steps never
+Jacobian in those coordinates, under one np.errstate. One
+``laws.evaluate`` call per point gives its residuals and a closure that
+builds its Jacobian once the point is accepted, so no point is
+evaluated twice. Each damped system goes straight to the LAPACK kernel
+that np.linalg.solve wraps; only a non-finite step replays the checked
+np.linalg.solve, then lstsq, so every step is theirs. Accepted steps never
 increase the sum of squared residuals, damping grows on rejected steps
 and shrinks on accepted ones. A start converges when its SSE or its
 gradient stops changing, and also stops, unconverged, when it stalls
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .dataset import Normalization, ObservationSet
 from .errors import DataValidationError, FitError, ScoreOverflowError, UndefinedVarianceError
@@ -283,6 +287,19 @@ def _sse_of(residual: np.ndarray) -> float:
     return sse if math.isfinite(sse) else math.inf
 
 
+def _step(damped: np.ndarray, neg_grad: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(damped, neg_grad), or lstsq's where solve finds `damped`
+    singular, bit for bit. It calls the kernel solve wraps (NaN if singular,
+    under the caller's np.errstate) and replays solve unless step @ step is finite."""
+    step = _umath_linalg.solve1(damped, neg_grad, signature="dd->d")
+    if math.isfinite(step @ step):
+        return step
+    try:
+        return np.linalg.solve(damped, neg_grad)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(damped, neg_grad, rcond=None)[0]
+
+
 def _lm_minimize(
     objective: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
     u0: np.ndarray,
@@ -294,7 +311,8 @@ def _lm_minimize(
     Each point is evaluated once: the thunk of an accepted trial gives
     the Jacobian of the next iteration. Steps whose residuals come back
     non-finite are rejected (treated as SSE = +inf), so the iteration can
-    sit next to overflow regions without aborting.
+    sit next to overflow regions without aborting. _step solves each system
+    by the LAPACK kernel; a non-finite step replays solve and its lstsq fallback.
 
     The start converges when an accepted step improves the SSE by at
     most _TOL_REL_SSE x SSE or the gradient's max-norm is at most
@@ -319,7 +337,6 @@ def _lm_minimize(
         lam = _LAMBDA_INIT
         iterations = 0
         converged = False
-        diagonal = np.arange(u.size)
         history = [sse]  # the SSE before the first iteration and after each one
         while iterations < max_iters:
             jac = jacobian()
@@ -332,16 +349,14 @@ def _lm_minimize(
                 break
             diag = jtj.diagonal()
             diag = np.maximum(diag, max(float(diag.max()), 1.0) * 1e-14)
+            neg_grad = -grad
             accepted = False
             while True:
                 damped = jtj.copy()
-                damped[diagonal, diagonal] += lam * diag
-                try:
-                    step = np.linalg.solve(damped, -grad)
-                except np.linalg.LinAlgError:
-                    step = np.linalg.lstsq(damped, -grad, rcond=None)[0]
+                damped.ravel()[::u.size + 1] += lam * diag
+                step = _step(damped, neg_grad)
                 if np.isfinite(step).all():
-                    u_try = np.clip(u + step, -_LOG_BOUND, _LOG_BOUND)
+                    u_try = np.minimum(np.maximum(u + step, -_LOG_BOUND), _LOG_BOUND)
                     r_try, jacobian_try = objective(u_try)
                     sse_try = _sse_of(r_try)
                 else:

@@ -399,7 +399,8 @@ def _capacity(bandwidth, snr):
 def evaluate(law: LawSpec, theta, n, d, x=None) -> tuple[np.ndarray, Callable]:
     """Predicted losses and a closure for their Jacobian in u = ln(theta),
     without domain checks: losses may be inf/NaN (the fitter rejects such
-    steps, grid evaluation masks them).
+    steps, grid evaluation masks them). The caller holds np.errstate
+    around both calls: the fitter one per start, :func:`evaluate_raw` one.
 
     theta is one parameter vector. derivative(logs), with
     ``logs = log_inputs(law, n, d, x)``, builds the [n_obs, n_params]
@@ -410,28 +411,27 @@ def evaluate(law: LawSpec, theta, n, d, x=None) -> tuple[np.ndarray, Callable]:
     if law.needs_x and x is None:
         raise LawDomainError(f"law {law.law_id} requires x")
     parts = tuple(np.asarray(theta, dtype=float).tolist())
-    with np.errstate(all="ignore"):
-        value, form_derivative = law.form(parts, n, d, x, law.x_orientation)
-        if law.capacity_family:
-            bandwidth, snr = value
-            value = 1.0 / _capacity(bandwidth, snr)
-        loss = np.asarray(value, dtype=float)
+    value, form_derivative = law.form(parts, n, d, x, law.x_orientation)
+    if law.capacity_family:
+        bandwidth, snr = value
+        value = 1.0 / _capacity(bandwidth, snr)
+    loss = np.asarray(value, dtype=float)
 
     def derivative(logs):
-        with np.errstate(all="ignore"):
-            rows = form_derivative(logs)
-            if law.capacity_family:
-                grad_bandwidth, grad_snr = rows
-                k = snr / ((1.0 + snr) * np.log1p(snr))
-                rows = -loss * (grad_bandwidth + k * grad_snr)
+        rows = form_derivative(logs)
+        if law.capacity_family:
+            grad_bandwidth, grad_snr = rows
+            k = snr / ((1.0 + snr) * np.log1p(snr))
+            rows = -loss * (grad_bandwidth + k * grad_snr)
         return rows.T
 
     return loss, derivative
 
 
 def evaluate_raw(law: LawSpec, theta: Sequence[float], n, d, x=None) -> np.ndarray:
-    """The loss of :func:`evaluate`, unchecked; prefer :func:`predict_loss`."""
-    return evaluate(law, theta, n, d, x)[0]
+    """The loss of :func:`evaluate` under np.errstate, unchecked; prefer :func:`predict_loss`."""
+    with np.errstate(all="ignore"):
+        return evaluate(law, theta, n, d, x)[0]
 
 
 def log_inputs(law: LawSpec, n: np.ndarray, d: np.ndarray, x: np.ndarray | None) -> tuple:

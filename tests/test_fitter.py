@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import scalelaws as sl
 from scalelaws.fitter import (
@@ -13,6 +15,7 @@ from scalelaws.fitter import (
     _STALL_WINDOW,
     FitConfig,
     _lm_minimize,
+    _step,
     enumerate_starts,
     fit_result_from_dict,
     read_fit,
@@ -101,6 +104,68 @@ class TestSolverCore:
 
         with pytest.raises(sl.FitError):
             _lm_minimize(lambda u: (residual(u), lambda: np.ones((1, 1))), np.zeros(1), 10)
+
+
+def _checked_step(damped, neg_grad):
+    """The step as np.linalg.solve gives it, lstsq's where solve refuses."""
+    try:
+        return np.linalg.solve(damped, neg_grad)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(damped, neg_grad, rcond=None)[0]
+
+
+@st.composite
+def damped_systems(draw):
+    """A p x p system (p = 1..9) and its right-hand side: a damped
+    Gauss-Newton matrix J'J + lam * diag(J'J), a symmetric matrix of
+    condition number up to 1e16, an exactly singular matrix (two equal
+    rows, or [[s, s], [s, s]]), or any of these scaled near the float limit."""
+    p = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["damped", "ill", "singular", "equal"]))
+    if kind == "damped":
+        jac = rng.normal(size=(2 * p, p)) * 10.0 ** rng.uniform(-8, 8, size=p)
+        matrix = jac.T @ jac
+        matrix.ravel()[::p + 1] *= 1.0 + 10.0 ** draw(st.floats(-14, 15))
+    elif kind == "ill":
+        basis = np.linalg.qr(rng.normal(size=(p, p)))[0]
+        matrix = basis * np.geomspace(1.0, 10.0 ** -draw(st.floats(0, 16)), p) @ basis.T
+    elif kind == "singular" and p > 1:
+        matrix = rng.normal(size=(p, p))
+        rows = rng.choice(p, size=2, replace=False)
+        matrix[rows[1]] = matrix[rows[0]]
+    else:
+        matrix = np.full((p, p), draw(st.sampled_from([0.0, 1.0, 1e-300, 1e300])))
+    scale = 10.0 ** draw(st.sampled_from([0.0, -300.0, 300.0, 307.0]))
+    with np.errstate(over="ignore"):  # an entry past the float range is inf
+        return matrix * scale, rng.normal(size=p) * 10.0 ** draw(st.floats(-300, 300))
+
+
+class TestStep:
+    """fitter._step calls the LAPACK kernel directly; each step it returns
+    must equal np.linalg.solve's, or lstsq's where solve finds the
+    system singular, bit for bit, or be non-finite where that one is."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(system=damped_systems())
+    @example(system=(np.array([[2.0, 2.0], [2.0, 2.0]]), np.array([1.0, -3.0])))
+    @example(system=(np.array([[0.0]]), np.array([1.0])))
+    @example(system=(np.array([[1e308, 1e308], [1.0, 1e308]]), np.array([1e308, -1e308])))
+    def test_equals_checked_solve(self, system):
+        damped, neg_grad = system
+        with np.errstate(all="ignore"):
+            expected = _checked_step(damped, neg_grad)
+            step = _step(damped, neg_grad)
+        if np.isfinite(expected).all():
+            assert step.tobytes() == expected.tobytes()
+        else:
+            assert not np.isfinite(step).all()
+
+    def test_singular_system_takes_lstsq(self):
+        damped = np.array([[3.0, 3.0], [3.0, 3.0]])
+        with np.errstate(all="ignore"):
+            step = _step(damped, np.array([1.0, 1.0]))
+        assert step.tolist() == pytest.approx([1 / 6, 1 / 6])
 
 
 class TestLocalSolve:

@@ -1,6 +1,7 @@
 """Law registry, closed-form evaluation, domain errors, and Jacobians."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalelaws as sl
+from scalelaws import fitter
 from scalelaws.laws import (
     AMPLIFYING,
     MITIGATING,
@@ -18,7 +20,7 @@ from scalelaws.laws import (
 )
 
 from oracle import jacobian_fd
-from synth import EXPONENT_NAMES, X_LEVELS, random_params
+from synth import EXPONENT_NAMES, X_LEVELS, grid_set, random_params
 
 EXPECTED_PARAM_COUNTS = {
     "shannon_full": 9,
@@ -512,3 +514,97 @@ class TestPredictLossProperty:
         assert 0.0 < sl.capacity(params, 0.01, 1.0) < 1e-308
         with pytest.raises(sl.LawDomainError, match="overflowed"):
             sl.predict_loss(sl.get_law("shannon_full"), params, 0.01, 1.0)
+
+
+#: Model sizes and token counts at which a law with exponents of 4
+#: overflows, underflows or (capacity family) has SNR 0.
+EXTREMES = (1e-100, 1.0, 1e100)
+
+
+class TestNoNumpyWarnings:
+    """Every path that evaluates a law runs under np.errstate: a point that
+    overflows or gives SNR 0 ends in the path's own error or mask, never in
+    a numpy warning (which this class turns into an error)."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("law, orientation", _oriented_laws(),
+                             ids=[f"{law.law_id}-{o}" for law, o in _oriented_laws()])
+    def test_extreme_points(self, law, orientation):
+        """predict_loss and capacity raise LawDomainError, grid_eval masks
+        the cell, optimal_along_axis skips the point and the
+        finite-difference oracle raises LawDomainError."""
+        law = sl.with_orientation(law, orientation)
+        params = sl.ParamVector(law.law_id, tuple(
+            4.0 if name in EXPONENT_NAMES else 1.0 for name in law.param_names))
+        x_values = ((-1e100 if law.x_domain == "finite" else 1e-100, 2.0, 1e100)
+                    if law.needs_x else (None,))
+        points = [(n, d, x) for n in EXTREMES for d in EXTREMES for x in x_values]
+        n, d, x = (np.array(column) for column in zip(*points))
+        with pytest.raises(sl.LawDomainError):
+            sl.predict_loss(law, params, n, d, x if law.needs_x else None)
+        failed = 0
+        for point in points:
+            point = point if law.needs_x else point[:2]
+            try:
+                assert sl.predict_loss(law, params, *point) > 0
+            except sl.LawDomainError:
+                failed += 1
+            if law.capacity_family:
+                try:
+                    assert sl.capacity(params, *point) > 0
+                except sl.LawDomainError:
+                    failed += 1
+        assert failed > 0
+
+        x0 = 2.0 if law.needs_x else None
+        grid = sl.grid_eval(law, params, sl.GridSpec(*EXTREMES[::2], *EXTREMES[::2], 5, 5), x=x0)
+        assert grid.error_mask.any() and not grid.error_mask.all()
+        cells = ~grid.error_mask
+        for i, j in zip(*np.nonzero(cells)):
+            assert grid.values[i, j] == sl.predict_loss(
+                law, params, grid.n_values[i], grid.d_values[j], x0)
+        for axis in "ND":
+            try:
+                arg, value, _ = sl.optimal_along_axis(law, params, axis, 1.0, EXTREMES[::2], 33,
+                                                      x=x0)
+            except sl.LawDomainError:
+                continue
+            n_d = (1.0, arg) if axis == "N" else (arg, 1.0)
+            assert value == sl.predict_loss(law, params, *n_d, x0)
+
+        observations = sl.ObservationSet(tuple(
+            sl.Observation(f"m{i}", n, d, 1.0, x_level=x) for i, (n, d, x) in enumerate(points)))
+        with pytest.raises(sl.LawDomainError):
+            jacobian_fd(law, params, observations)
+
+    @pytest.mark.parametrize("law, orientation", _oriented_laws(),
+                             ids=[f"{law.law_id}-{o}" for law, o in _oriented_laws()])
+    def test_local_solve_through_overflowing_trials(self, law, orientation, monkeypatch):
+        """Fitting data with exponents of 10 from a start of ones takes
+        steps whose residuals overflow; the run rejects them and ends
+        with a finite SSE."""
+        law = sl.with_orientation(law, orientation)
+        steep = sl.ParamVector(law.law_id, tuple(
+            10.0 if name in EXPONENT_NAMES else 1.0 for name in law.param_names))
+        data = grid_set(law, steep, np.geomspace(0.16, 12.0, 6), np.geomspace(4.0, 310.0, 8),
+                        x_levels=X_LEVELS if law.needs_x else None)
+        call = fitter._Objective.__call__
+        finite = []
+
+        def recording_call(self, u):
+            residuals, jacobian = call(self, u)
+            finite.append(bool(np.isfinite(residuals).all()))
+            return residuals, jacobian
+
+        monkeypatch.setattr(fitter._Objective, "__call__", recording_call)
+        for space in ("loss", "log_loss"):
+            finite.clear()
+            config = sl.FitConfig(max_iters=50, objective_space=space)
+            _, sse, _, _ = sl.local_solve(law, data, np.zeros(law.n_params), config)
+            assert math.isfinite(sse)
+            assert finite[0] and not all(finite)
